@@ -44,6 +44,10 @@ func (d *dutyCycle) ShouldOverhear(_ *rand.Rand, lvl rcast.Level, _ rcast.Listen
 
 func (d *dutyCycle) Name() string { return fmt.Sprintf("duty-1/%d", d.Period) }
 
+// Reads declares that the decision consults no ListenContext field, so the
+// simulator skips computing the neighbor count for it.
+func (d *dutyCycle) Reads() rcast.Reads { return 0 }
+
 func main() {
 	fmt.Println("Custom overhearing policies on the Rcast stack (40 nodes, 200 s)")
 	fmt.Printf("%-12s %10s %8s %10s\n", "policy", "energy(J)", "PDR", "overhead")

@@ -137,6 +137,38 @@ type Policy interface {
 	Name() string
 }
 
+// Reads is a set of the ListenContext fields that cost the MAC neighbor
+// queries to fill: the neighbor count one per lottery, the link-change
+// rate one per station per beacon. The other fields are always filled.
+type Reads uint8
+
+// Costly ListenContext fields, one bit each.
+const (
+	ReadsNeighbors Reads = 1 << iota
+	ReadsLinkChanges
+
+	// ReadsAll is every costly field: what a policy that declares nothing
+	// is given.
+	ReadsAll = ReadsNeighbors | ReadsLinkChanges
+)
+
+// ContextReader is implemented by a Policy that declares which costly
+// ListenContext fields its ShouldOverhear consults. The MAC leaves the
+// undeclared ones zero instead of computing them. A declaration must be
+// exact: verdicts and RNG draws may not depend on an undeclared field.
+type ContextReader interface {
+	Reads() Reads
+}
+
+// PolicyReads returns the fields p declares it reads, or ReadsAll when p
+// declares nothing.
+func PolicyReads(p Policy) Reads {
+	if r, ok := p.(ContextReader); ok {
+		return r.Reads()
+	}
+	return ReadsAll
+}
+
 // probRandomized applies lvl semantics around a randomized-case probability.
 func probRandomized(rng *rand.Rand, lvl Level, p float64) bool {
 	switch lvl {
@@ -187,6 +219,9 @@ func (Rcast) ShouldOverhear(rng *rand.Rand, lvl Level, ctx ListenContext) bool {
 	return probRandomized(rng, lvl, invNeighbors(ctx.Neighbors))
 }
 
+// Reads implements ContextReader.
+func (Rcast) Reads() Reads { return ReadsNeighbors }
+
 // Name implements Policy.
 func (Rcast) Name() string { return "rcast" }
 
@@ -201,6 +236,9 @@ func (Unconditional) AdvertiseLevel(Class) Level { return LevelUnconditional }
 
 // ShouldOverhear implements Policy.
 func (Unconditional) ShouldOverhear(*rand.Rand, Level, ListenContext) bool { return true }
+
+// Reads implements ContextReader.
+func (Unconditional) Reads() Reads { return 0 }
 
 // Name implements Policy.
 func (Unconditional) Name() string { return "unconditional" }
@@ -221,6 +259,9 @@ func (None) ShouldOverhear(_ *rand.Rand, lvl Level, _ ListenContext) bool {
 	// (standard nodes never send one, so this only matters in mixed runs).
 	return lvl == LevelUnconditional
 }
+
+// Reads implements ContextReader.
+func (None) Reads() Reads { return 0 }
 
 // Name implements Policy.
 func (None) Name() string { return "none" }
@@ -243,6 +284,9 @@ func (SenderID) ShouldOverhear(rng *rand.Rand, lvl Level, ctx ListenContext) boo
 	}
 	return probRandomized(rng, lvl, invNeighbors(ctx.Neighbors))
 }
+
+// Reads implements ContextReader.
+func (SenderID) Reads() Reads { return ReadsNeighbors }
 
 // Name implements Policy.
 func (SenderID) Name() string { return "sender-id" }
@@ -267,6 +311,9 @@ func (Battery) ShouldOverhear(rng *rand.Rand, lvl Level, ctx ListenContext) bool
 	return probRandomized(rng, lvl, invNeighbors(ctx.Neighbors)*e)
 }
 
+// Reads implements ContextReader.
+func (Battery) Reads() Reads { return ReadsNeighbors }
+
 // Name implements Policy.
 func (Battery) Name() string { return "battery" }
 
@@ -284,6 +331,9 @@ func (Mobility) ShouldOverhear(rng *rand.Rand, lvl Level, ctx ListenContext) boo
 	damp := 1 / (1 + ctx.LinkChangesPerSec)
 	return probRandomized(rng, lvl, invNeighbors(ctx.Neighbors)*damp)
 }
+
+// Reads implements ContextReader.
+func (Mobility) Reads() Reads { return ReadsNeighbors | ReadsLinkChanges }
 
 // Name implements Policy.
 func (Mobility) Name() string { return "mobility" }
@@ -313,6 +363,9 @@ func (Combined) ShouldOverhear(rng *rand.Rand, lvl Level, ctx ListenContext) boo
 	return probRandomized(rng, lvl, p)
 }
 
+// Reads implements ContextReader.
+func (Combined) Reads() Reads { return ReadsAll }
+
 // Name implements Policy.
 func (Combined) Name() string { return "combined" }
 
@@ -337,6 +390,9 @@ func (FixedProb) AdvertiseLevel(c Class) Level { return Rcast{}.AdvertiseLevel(c
 func (f FixedProb) ShouldOverhear(rng *rand.Rand, lvl Level, _ ListenContext) bool {
 	return probRandomized(rng, lvl, f.P)
 }
+
+// Reads implements ContextReader.
+func (FixedProb) Reads() Reads { return 0 }
 
 // Name implements Policy.
 func (f FixedProb) Name() string { return fmt.Sprintf("fixed-%.2f", f.P) }

@@ -329,3 +329,65 @@ func TestBroadcastGossipFractionalFanout(t *testing.T) {
 		t.Fatalf("clamped fanout: empirical p = %v, want ~0.5", got)
 	}
 }
+
+// TestPolicyReadsAreExact checks every built-in policy's ContextReader
+// declaration: over random contexts, scrambling a costly field the policy
+// does not declare must leave both its verdict and its RNG draws
+// unchanged, and a declared field must be able to change the verdict (no
+// over-declaration either).
+func TestPolicyReadsAreExact(t *testing.T) {
+	policies := append(Policies(), FixedProb{P: 0.3}, FixedProb{P: 1})
+	fields := []struct {
+		bit      Reads
+		scramble func(*ListenContext, *rand.Rand)
+	}{
+		{ReadsNeighbors, func(c *ListenContext, r *rand.Rand) { c.Neighbors = r.Intn(40) }},
+		{ReadsLinkChanges, func(c *ListenContext, r *rand.Rand) { c.LinkChangesPerSec = 5 * r.Float64() }},
+	}
+	levels := []Level{LevelNone, LevelRandomized, LevelUnconditional}
+	for _, p := range policies {
+		reads := PolicyReads(p)
+		moved := Reads(0)
+		src := rand.New(rand.NewSource(7))
+		for i := 0; i < 3000; i++ {
+			ctx := ListenContext{SenderRecentlyHeard: src.Intn(2) == 0, RemainingEnergy: src.Float64()}
+			for _, f := range fields {
+				f.scramble(&ctx, src)
+			}
+			lvl := levels[i%len(levels)]
+			seed := src.Int63()
+			// decide returns the verdict and the RNG's next value, which
+			// differs when the call consumed a different number of draws.
+			decide := func(c ListenContext) (bool, int64) {
+				rng := rand.New(rand.NewSource(seed))
+				stay := p.ShouldOverhear(rng, lvl, c)
+				return stay, rng.Int63()
+			}
+			want, wantNext := decide(ctx)
+			for _, f := range fields {
+				alt := ctx
+				f.scramble(&alt, src)
+				got, gotNext := decide(alt)
+				if reads&f.bit != 0 {
+					if got != want {
+						moved |= f.bit
+					}
+					continue
+				}
+				if got != want || gotNext != wantNext {
+					t.Fatalf("%s: undeclared field %02b changed the verdict or the draws (%+v vs %+v)", p.Name(), f.bit, ctx, alt)
+				}
+			}
+		}
+		if moved != reads {
+			t.Errorf("%s declares %02b but only %02b ever moved a verdict", p.Name(), reads, moved)
+		}
+	}
+}
+
+func TestPolicyReadsDefaultsToAll(t *testing.T) {
+	undeclared := struct{ Policy }{Rcast{}} // hides Rcast's Reads
+	if got := PolicyReads(undeclared); got != ReadsAll {
+		t.Fatalf("PolicyReads of a policy without a declaration = %02b, want ReadsAll", got)
+	}
+}

@@ -84,3 +84,24 @@ func TestChurnIndependentOfMapIterationOrder(t *testing.T) {
 		}
 	}
 }
+
+// The per-beacon churn sample is a neighbor query per station, so it is
+// taken only for a policy that reads the link-change rate: a policy that
+// declares it does not (Rcast) keeps a zero estimate, while one that
+// declares it, or declares nothing, tracks the neighbor that appears.
+func TestChurnSampledOnlyWhenPolicyReadsIt(t *testing.T) {
+	r := newRig(t, 3, 10)
+	reads := r.psm(0, core.Mobility{})
+	skips := r.psm(1, core.Rcast{})
+	silent := r.psm(2, struct{ core.Policy }{core.Rcast{}}) // hides Reads
+	r.sched.After(sim.Second, func() {
+		r.ch.AddRadio(phy.NodeID(3), mobility.Static{P: geom.Point{X: 40}})
+	})
+	r.run(3 * sim.Second)
+	if reads.LinkChangesPerSec() == 0 || silent.LinkChangesPerSec() == 0 {
+		t.Fatalf("churn not tracked: mobility %v, undeclared %v", reads.LinkChangesPerSec(), silent.LinkChangesPerSec())
+	}
+	if got := skips.LinkChangesPerSec(); got != 0 {
+		t.Fatalf("rcast sampled churn (%v) though it does not read it", got)
+	}
+}

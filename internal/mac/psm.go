@@ -31,6 +31,7 @@ type PSM struct {
 	radio  *phy.Radio
 	meter  *energy.Meter
 	policy core.Policy
+	reads  core.Reads // the costly ListenContext fields policy reads
 	rng    *rand.Rand
 	p      Params
 	up     Upcalls
@@ -49,8 +50,9 @@ type PSM struct {
 	// small and dense, and this lookup sits on the per-beacon hot path.
 	lastHeard []sim.Time
 
-	// Neighbor-churn tracking. Instead of materializing the neighbor set as
-	// a map each beacon, every visited neighbor is stamped with the current
+	// Neighbor-churn tracking, sampled at each beacon only when the policy
+	// reads the link-change rate. Instead of materializing the neighbor set
+	// as a map each beacon, every visited neighbor is stamped with the current
 	// sample epoch; the symmetric difference against the previous sample is
 	// then (curCount-common) + (prevCount-common), where common counts
 	// neighbors still stamped with the previous epoch.
@@ -118,6 +120,7 @@ func NewPSM(
 		radio:  radio,
 		meter:  meter,
 		policy: policy,
+		reads:  core.PolicyReads(policy),
 		rng:    rng,
 		p:      p,
 		up:     up,
@@ -321,7 +324,9 @@ func (m *PSM) BeaconStart(now sim.Time) []Announcement {
 		m.trc.StationWoke(now, m.radio.ID())
 	}
 	m.setWindow(false, 0)
-	m.updateChurn(now)
+	if m.reads&core.ReadsLinkChanges != 0 {
+		m.updateChurn(now)
+	}
 
 	for _, p := range m.pending {
 		m.dcf.enqueue(p)
@@ -475,12 +480,17 @@ func (m *PSM) shouldStayAwake(now sim.Time, heard []Announcement) bool {
 	return false
 }
 
+// listenContext gathers the listener state for the lottery. The neighbor
+// count, a neighbor query, is left zero for a policy that does not read it.
 func (m *PSM) listenContext(now sim.Time) core.ListenContext {
-	return core.ListenContext{
-		Neighbors:         m.ch.CountNeighbors(m.radio, now),
+	ctx := core.ListenContext{
 		RemainingEnergy:   m.meter.RemainingFraction(),
 		LinkChangesPerSec: m.linkChurn,
 	}
+	if m.reads&core.ReadsNeighbors != 0 {
+		ctx.Neighbors = m.ch.CountNeighbors(m.radio, now)
+	}
+	return ctx
 }
 
 // updateChurn refreshes the EWMA of neighbor-set changes per second. Samples

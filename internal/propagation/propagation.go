@@ -185,11 +185,61 @@ func (*Fading) Name() string { return "fading" }
 // MaxRange implements phy.Propagation.
 func (f *Fading) MaxRange() float64 { return f.maxRange }
 
-// Decodable implements phy.Propagation.
+// verdictMargin is the relative gap between a link's gain and the gain its
+// distance needs inside which Fading.Decodable defers to the reference
+// expression. Rounding on either side of that comparison stays below
+// 1e-14 relative, so outside the margin the cheap comparisons and the
+// reference always agree.
+const verdictMargin = 1e-9
+
+// Decodable implements phy.Propagation. The verdict is exactly that of
+// reference, without its math.Pow: the link decodes iff its capped gain
+// g = min(-ln(1-u), FadingMaxGain) reaches q = (dist/R)^4, and for
+// 0 < u < 1 the logarithm is bracketed by two bounds that need no
+// transcendental call,
+//
+//	2u/(2-u) < -ln(1-u) < u/√(1-u),
+//
+// so most draws are settled by a few multiplies. A draw the bounds do not
+// settle takes the logarithm, and one whose gain is within verdictMargin
+// of q (about one in 10^9) takes the reference expression itself.
 func (f *Fading) Decodable(now sim.Time, a, b phy.NodeID, dist float64) bool {
-	u := uniform(linkHash(f.seed, a, b, uint64(now)))
-	// Inverse-CDF exponential, capped at FadingMaxGain. 1-u is in (0, 1],
-	// so the log is finite.
+	return f.verdict(uniform(linkHash(f.seed, a, b, uint64(now))), dist)
+}
+
+// verdict is Decodable for the link's uniform draw u in [0, 1).
+func (f *Fading) verdict(u, dist float64) bool {
+	// The bracket needs u > 0, and the margin argument a positive q; the
+	// degenerate draw and distances keep the reference.
+	if !(u > 0 && dist > 0 && f.rangeM > 0) {
+		return f.reference(u, dist)
+	}
+	x := dist / f.rangeM
+	q := x * x
+	q *= q
+	hi, lo := q*(1+verdictMargin), q*(1-verdictMargin)
+	s := 1 - u // exact: u has 53-bit resolution
+	if 2*u >= hi*(1+s) {
+		return true // the lower bound clears q, and is below the cap
+	}
+	if u*u < lo*lo*s {
+		return false // the upper bound falls short of q
+	}
+	g := min(-math.Log(s), FadingMaxGain)
+	if g >= hi {
+		return true
+	}
+	if g < lo {
+		return false
+	}
+	return f.reference(u, dist)
+}
+
+// reference is the defining fading verdict for uniform draw u: an
+// inverse-CDF exponential gain, capped at FadingMaxGain (1-u is in (0, 1],
+// so the log is finite), stretching the decode radius by its quarter
+// power.
+func (f *Fading) reference(u, dist float64) bool {
 	g := -math.Log(1 - u)
 	if g > FadingMaxGain {
 		g = FadingMaxGain

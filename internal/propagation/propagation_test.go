@@ -209,6 +209,86 @@ func TestFadingGainDistribution(t *testing.T) {
 	}
 }
 
+// checkVerdict fails t unless the fast fading verdict equals the
+// reference expression for draw u at dist.
+func checkVerdict(t testing.TB, f *Fading, u, dist float64) {
+	t.Helper()
+	if got, want := f.verdict(u, dist), f.reference(u, dist); got != want {
+		t.Fatalf("R=%v u=%v dist=%v: verdict %v, reference %v", f.rangeM, u, dist, got, want)
+	}
+}
+
+// TestFadingVerdictMatchesReference pins the pow-free fading verdict to
+// the defining expression bit for bit: on hashed draws over the whole
+// reach, at each draw's exact boundary distance and its floating-point
+// neighbours (where only the fallback can decide), just inside and outside
+// the deferral margin, and on the degenerate draws and distances.
+func TestFadingVerdictMatchesReference(t *testing.T) {
+	for _, r := range []float64{250, 1, 1e-3, 7.3e5} {
+		f := NewFading(r, 5)
+		for i := uint64(0); i < 200_000; i++ {
+			u := uniform(mix64(i))
+			dist := f.MaxRange() * 1.05 * uniform(mix64(^i))
+			checkVerdict(t, f, u, dist)
+			g := min(-math.Log(1-u), FadingMaxGain)
+			edge := r * math.Pow(g, 1/pathLossExponent)
+			for _, d := range []float64{
+				edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)),
+				edge * (1 - verdictMargin/4), edge * (1 + verdictMargin/4),
+				edge * (1 - verdictMargin), edge * (1 + verdictMargin),
+			} {
+				checkVerdict(t, f, u, d)
+			}
+		}
+		top := 1 - 1.0/(1<<53)
+		for _, u := range []float64{0, 1.0 / (1 << 53), 0.5, 1 - math.Exp(-FadingMaxGain), top} {
+			for _, d := range []float64{0, math.SmallestNonzeroFloat64, 1e-160, r, f.MaxRange(),
+				math.Nextafter(f.MaxRange(), math.Inf(1)), 1e300, math.Inf(1), math.NaN(), -1} {
+				checkVerdict(t, f, u, d)
+			}
+		}
+	}
+	for _, r := range []float64{0, -250, math.Inf(1)} {
+		f := NewFading(r, 5)
+		for _, u := range []float64{0, 0.3, 0.99} {
+			for _, d := range []float64{0, 1, 250, math.Inf(1)} {
+				checkVerdict(t, f, u, d)
+			}
+		}
+	}
+}
+
+// FuzzFadingVerdict searches for any (radius, draw, distance) on which the
+// pow-free fading verdict and the reference expression disagree.
+func FuzzFadingVerdict(f *testing.F) {
+	f.Add(250.0, uint64(1)<<62, 250.0)
+	f.Add(250.0, uint64(0), 0.0)
+	f.Add(1e-3, ^uint64(0), 1.7e-3)
+	f.Fuzz(func(t *testing.T, r float64, bits uint64, dist float64) {
+		checkVerdict(t, NewFading(r, 0), uniform(bits), dist)
+	})
+}
+
+// BenchmarkFadingDecodable prices one fading verdict over a spread of
+// distances within the reach the PHY grid queries.
+func BenchmarkFadingDecodable(b *testing.B) {
+	f := NewFading(250, 9)
+	dists := make([]float64, 256)
+	for i := range dists {
+		dists[i] = f.MaxRange() * uniform(mix64(uint64(i)))
+	}
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		if f.Decodable(sim.Time(i), 1, 2, dists[i&255]) {
+			n++
+		}
+	}
+	sinkCount = n
+}
+
+var sinkCount int
+
 // TestSeedIndependence: different seeds must give different channels.
 func TestSeedIndependence(t *testing.T) {
 	s1 := NewShadowing(250, 6, 1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rcast/internal/core"
+	"rcast/internal/sim"
 )
 
 // runPair runs the same scenario under two policy names and returns both
@@ -90,5 +91,36 @@ func TestPolicyPinSenderIDAllHeard(t *testing.T) {
 	}
 	if rng.Int63() != state.Int63() {
 		t.Fatal("certainty boost consumed an RNG draw")
+	}
+}
+
+// TestPolicyReadsChangeNoResult pins the MAC's use of ContextReader
+// declarations: a policy that declares its ListenContext reads skips the
+// churn sample and, unless it reads it, the neighbor count, and must still
+// produce a Result identical to the same policy with its declaration hidden
+// (every field computed), on a mobile cell over both the disk and the
+// fading channel.
+func TestPolicyReadsChangeNoResult(t *testing.T) {
+	for _, channel := range []string{"disk", "fading"} {
+		for _, p := range core.Policies() {
+			cfg := quickConfig(SchemeRcast)
+			cfg.Channel = channel
+			cfg.Duration = 40 * sim.Second
+			cfg.Pause = 10 * sim.Second
+			declared, hidden := cfg, cfg
+			declared.PolicyName = p.Name()
+			hidden.Policy = struct{ core.Policy }{p}
+			a, err := Run(declared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(hidden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s on %s: declared reads changed the result:\ndeclared: %+v\nhidden:   %+v", p.Name(), channel, a, b)
+			}
+		}
 	}
 }

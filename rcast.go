@@ -110,6 +110,23 @@ type Policy = core.Policy
 // ListenContext carries the listener-side state a Policy may consult.
 type ListenContext = core.ListenContext
 
+// ContextReader is implemented by a Policy that declares, as Reads,
+// whether its ShouldOverhear consults the neighbor count and the
+// link-change rate, the ListenContext fields that cost neighbor queries.
+// The simulator leaves an undeclared one zero rather than computing it. A
+// policy without the declaration is given every field.
+type ContextReader = core.ContextReader
+
+// Reads is a set of the costly ListenContext fields.
+type Reads = core.Reads
+
+// Costly ListenContext fields a ContextReader can declare.
+const (
+	ReadsNeighbors   = core.ReadsNeighbors
+	ReadsLinkChanges = core.ReadsLinkChanges
+	ReadsAll         = core.ReadsAll
+)
+
 // Level is an advertised overhearing level (an ATIM subtype, paper §3.2).
 type Level = core.Level
 

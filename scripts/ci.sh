@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
-# over the MAC, route-cache, scheduler-wheel and trace-reader targets, the
-# coverage gate, the calibrated perf-smoke gate, a benchmark smoke run, a
-# tracediff smoke (audit inert / seeds diverge), the golden-trace corpus
-# gate (every committed cell re-runs and replays byte-identically), a
+# over the MAC, route-cache, scheduler-wheel, trace-reader,
+# propagation-grid and fading-verdict targets, the coverage gate, the
+# calibrated perf-smoke gate, a benchmark smoke run, a tracediff smoke
+# (audit inert / seeds diverge), the golden-trace corpus gate (every
+# committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
 # invariant-audited experiment smokes (clean and fault-injected) under the
 # race detector, the end-to-end rcast-serve smoke (race-built daemon:
@@ -31,6 +32,7 @@ go test -run '^$' -fuzz 'FuzzCacheOperations' -fuzztime 10s ./internal/routing/d
 go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
+go test -run '^$' -fuzz 'FuzzFadingVerdict' -fuzztime 10s ./internal/propagation
 
 echo "== coverage gate =="
 go run ./tools/covergate
