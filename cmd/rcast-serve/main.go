@@ -94,6 +94,10 @@ func run(args []string) error {
 		srv = serve.New(opts)
 	}
 
+	// Catch shutdown signals before the listener exists: a signal that
+	// arrives once /healthz can answer must drain, not kill, the daemon.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -110,8 +114,6 @@ func run(args []string) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		return err

@@ -14,11 +14,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"rcast"
 	"rcast/internal/profiling"
+	"rcast/internal/scenario"
 )
 
 func main() {
@@ -30,37 +29,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("rcast-sim", flag.ContinueOnError)
+	cfg := rcast.PaperDefaults()
+	applyConfig := scenario.RegisterFlags(fs)
 	var (
-		schemeName = fs.String("scheme", "Rcast", "scheme: 802.11, PSM, PSM-no-overhear, ODPM, Rcast")
-		policyName = fs.String("policy", "", "overhearing policy: "+strings.Join(rcast.PolicyNames(), ", ")+" (default: the scheme's own)")
-		nodes      = fs.Int("nodes", 100, "number of nodes")
-		fieldW     = fs.Float64("field-w", 1500, "field width (m)")
-		fieldH     = fs.Float64("field-h", 300, "field height (m)")
-		rng        = fs.Float64("range", 250, "radio range (m)")
-		txPower    = fs.Float64("tx-power", 0, "transmit power offset in dB from nominal (scales range by 10^(dB/40), energy by 10^(dB/10))")
-		conns      = fs.Int("connections", 20, "CBR connections")
-		rate       = fs.Float64("rate", 0.4, "packets per second per connection")
-		size       = fs.Int("size", 512, "payload bytes per packet")
-		duration   = fs.Duration("duration", 1125*time.Second, "simulated time")
-		pause      = fs.Duration("pause", 600*time.Second, "random waypoint pause time")
-		static     = fs.Bool("static", false, "static scenario (pause = duration)")
-		speed      = fs.Float64("speed", 20, "maximum node speed (m/s)")
-		channel    = fs.String("channel", "disk", "propagation model: disk, shadowing, fading")
-		shadowSig  = fs.Float64("shadow-sigma", 4, "log-normal shadowing std-dev in dB (with -channel shadowing)")
-		mobModel   = fs.String("mobility", "waypoint", "mobility model: waypoint, gauss-markov, group")
-		groupSize  = fs.Int("group-size", 4, "nodes per group (with -mobility group)")
-		groupRad   = fs.Float64("group-radius", 50, "group wander radius in metres (with -mobility group)")
-		seed       = fs.Int64("seed", 1, "random seed")
 		reps       = fs.Int("reps", 1, "replications (per-rep seeds mixed from -seed)")
-		gossip     = fs.Float64("gossip", 0, "broadcast-Rcast fanout (0 disables)")
 		perNode    = fs.Bool("per-node", false, "dump per-node energy and role numbers")
-		routing    = fs.String("routing", "DSR", "routing protocol: DSR or AODV")
-		battery    = fs.Float64("battery", 0, "battery capacity in joules (0 = unlimited)")
 		traceFile  = fs.String("trace", "", "write NDJSON event trace to this file")
 		replayFile = fs.String("replay", "", "replay a recorded NDJSON trace: re-execute with its decisions injected and verify byte-identity (requires the recording run's flags; -reps must be 1)")
 		workers    = fs.Int("workers", 0, "parallel replication workers (0 = all CPUs, 1 = serial)")
-		auditOn    = fs.Bool("audit", false, "run under the cross-layer invariant audit (violations abort the run)")
-		faultsName = fs.String("faults", "", "fault preset: "+strings.Join(rcast.FaultPresetNames(), ", "))
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited); an expired budget aborts mid-simulation")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof allocation profile to this file at exit")
@@ -79,47 +55,8 @@ func run(args []string) error {
 		}
 	}()
 
-	scheme, err := rcast.ParseScheme(*schemeName)
-	if err != nil {
+	if err := applyConfig(&cfg); err != nil {
 		return err
-	}
-	cfg := rcast.PaperDefaults()
-	cfg.Scheme = scheme
-	cfg.PolicyName = *policyName
-	cfg.Nodes = *nodes
-	cfg.FieldW, cfg.FieldH = *fieldW, *fieldH
-	cfg.RangeM = *rng
-	cfg.TxPowerDBm = *txPower
-	cfg.Connections = *conns
-	cfg.PacketRate = *rate
-	cfg.PacketBytes = *size
-	cfg.Duration = rcast.Seconds(duration.Seconds())
-	cfg.Pause = rcast.Seconds(pause.Seconds())
-	cfg.MaxSpeed = *speed
-	cfg.Channel = *channel
-	cfg.ShadowSigmaDB = *shadowSig
-	cfg.Mobility = *mobModel
-	cfg.GroupSize = *groupSize
-	cfg.GroupRadiusM = *groupRad
-	cfg.Seed = *seed
-	cfg.GossipFanout = *gossip
-	cfg.BatteryJoules = *battery
-	cfg.Audit = *auditOn
-	if plan, err := rcast.FaultPreset(*faultsName); err != nil {
-		return err
-	} else if plan != nil {
-		cfg.Faults = plan
-	}
-	if *static {
-		cfg.Pause = cfg.Duration
-	}
-	switch *routing {
-	case "DSR":
-		cfg.Routing = rcast.RoutingDSR
-	case "AODV":
-		cfg.Routing = rcast.RoutingAODV
-	default:
-		return fmt.Errorf("unknown routing %q (want DSR or AODV)", *routing)
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -172,7 +109,7 @@ func run(args []string) error {
 	}
 	res := agg.Results[0]
 
-	fmt.Printf("scheme            %v\n", scheme)
+	fmt.Printf("scheme            %v\n", cfg.Scheme)
 	fmt.Printf("nodes             %d on %.0fx%.0f m, range %.0f m\n", cfg.Nodes, cfg.FieldW, cfg.FieldH, cfg.RangeM)
 	fmt.Printf("traffic           %d CBR x %.2f pkt/s x %d B, %.0f s\n",
 		cfg.Connections, cfg.PacketRate, cfg.PacketBytes, cfg.Duration.Seconds())

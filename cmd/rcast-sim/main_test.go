@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,5 +131,32 @@ func TestRunReplayRejectsBadInput(t *testing.T) {
 	// Replaying under a different seed must be detected as divergence.
 	if err := run(tinyArgs("-replay", rec, "-seed", "2")); err == nil {
 		t.Error("replay under the wrong seed succeeded")
+	}
+}
+
+// TestFlagSetUnchanged pins rcast-sim's flag names, defaults and usage
+// text (the -h output), most of which the scenario field table derives.
+func TestFlagSetUnchanged(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "help.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.CreateTemp(t.TempDir(), "help")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = out
+	runErr := run([]string{"-h"})
+	os.Stderr = saved
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run -h: %v", runErr)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("-h output drifted:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -6,7 +6,7 @@ import "fmt"
 // presentation order. Adding a policy to the simulator is one entry here:
 // the name then resolves everywhere a policy can be spelled — the
 // scenario.Config.PolicyName field and its canonical encoding, the
-// Grid/sweep policy axes, the rcast-sim/rcast-bench -policy flags, the
+// sweep policy axes, the rcast-sim/rcast-bench -policy flags, the
 // rcast-serve job and sweep APIs, and the {policy} metrics label.
 //
 // Registered policies must be stateless values (their behaviour a pure

@@ -41,9 +41,6 @@ func (s *Suite) AblationChannels() ([]ChannelResult, error) {
 				cfg := s.config(runKey{scheme: sch, rate: s.p.LowRate})
 				cfg.Channel = ch
 				cfg.Mobility = mob
-				if ch == "shadowing" {
-					cfg.ShadowSigmaDB = 4
-				}
 				cfgs = append(cfgs, cfg)
 			}
 		}

@@ -28,9 +28,9 @@ import (
 // Events at or after the run duration are simply never scheduled, so a
 // crash at t=∞ is exactly no crash.
 type Crash struct {
-	Node      int
-	At        sim.Time
-	RecoverAt sim.Time // 0 = the node stays down for the rest of the run
+	Node      int      `json:"node"`
+	At        sim.Time `json:"at_us"`
+	RecoverAt sim.Time `json:"recover_at_us"` // 0 = the node stays down for the rest of the run
 }
 
 // LossConfig parameterizes the Gilbert–Elliott burst-loss channel model: a
@@ -41,13 +41,13 @@ type Crash struct {
 // both means zero the chain is degenerate and PGood applies uniformly
 // (Bernoulli loss).
 type LossConfig struct {
-	PGood    float64
-	PBad     float64
-	MeanGood sim.Time
-	MeanBad  sim.Time
+	PGood    float64  `json:"p_good"`
+	PBad     float64  `json:"p_bad"`
+	MeanGood sim.Time `json:"mean_good_us"`
+	MeanBad  sim.Time `json:"mean_bad_us"`
 	// PerLink runs one chain per directed (tx, rx) pair instead of one per
 	// receiver, decorrelating loss bursts across a receiver's links.
-	PerLink bool
+	PerLink bool `json:"per_link"`
 }
 
 // Enabled reports whether the configuration can ever lose a frame.
@@ -65,29 +65,31 @@ func (c LossConfig) burst() bool { return c.MeanGood > 0 && c.MeanBad > 0 }
 // linearly over Ramp at each edge, keeping node speed bounded (the spatial
 // grid index requires a declared motion bound).
 type Partition struct {
-	StartFrac float64  // in [0, 1)
-	StopFrac  float64  // in (StartFrac, 1]
-	Ramp      sim.Time // transition time; 0 selects 10 s
+	StartFrac float64  `json:"start_frac"` // in [0, 1)
+	StopFrac  float64  `json:"stop_frac"`  // in (StartFrac, 1]
+	Ramp      sim.Time `json:"ramp_us"`    // transition time; 0 selects 10 s
 }
 
 // Plan is a complete fault-injection description. The zero value is inert.
+// The JSON tags are the "faults" object of the canonical run-configuration
+// encoding (internal/scenario).
 type Plan struct {
 	// Crashes are explicit lifecycle faults.
-	Crashes []Crash
+	Crashes []Crash `json:"crashes"`
 	// CrashFraction additionally crashes each node with this probability at
 	// a uniformly drawn instant in the middle 80% of the run.
-	CrashFraction float64
+	CrashFraction float64 `json:"crash_fraction"`
 	// Downtime is the recovery delay for randomized crashes; 0 means
 	// crashed nodes stay down.
-	Downtime sim.Time
+	Downtime sim.Time `json:"downtime_us"`
 
-	Loss       LossConfig
-	Partitions []Partition
+	Loss       LossConfig  `json:"loss"`
+	Partitions []Partition `json:"partitions"`
 
 	// BatteryJitter spreads heterogeneous initial batteries: node capacity
 	// is scaled by a uniform factor in [1-j, 1+j]. Only applies when the
 	// scenario gives nodes finite batteries.
-	BatteryJitter float64
+	BatteryJitter float64 `json:"battery_jitter"`
 }
 
 // Enabled reports whether the plan can inject any fault at all. Note that

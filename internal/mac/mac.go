@@ -15,43 +15,50 @@
 package mac
 
 import (
+	"errors"
+	"fmt"
+	"math"
+
 	"rcast/internal/core"
 	"rcast/internal/phy"
 	"rcast/internal/sim"
 )
 
 // Params are the 802.11 DSSS MAC/PHY parameters (2 Mbps, long preamble).
+// The JSON tags are the "mac" object of the canonical run-configuration
+// encoding (internal/scenario): renaming or reordering a field changes
+// every result-cache key.
 type Params struct {
-	SlotTime sim.Time
-	SIFS     sim.Time
-	DIFS     sim.Time
-	CWMin    int // initial contention window (slots-1), e.g. 31
-	CWMax    int
+	SlotTime sim.Time `json:"slot_time_us"`
+	SIFS     sim.Time `json:"sifs_us"`
+	DIFS     sim.Time `json:"difs_us"`
+	CWMin    int      `json:"cw_min"` // initial contention window (slots-1), e.g. 31
+	CWMax    int      `json:"cw_max"`
 	// RetryLimit is the number of retransmissions after the first attempt
 	// before the frame is dropped and the link declared broken.
-	RetryLimit int
+	RetryLimit int `json:"retry_limit"`
 
-	DataRateMbps float64
+	DataRateMbps float64 `json:"data_rate_mbps"`
 	// DataHeaderBytes is the MAC overhead added to every data frame
 	// (802.11 header + FCS).
-	DataHeaderBytes int
-	AckBytes        int
-	RTSBytes        int
-	CTSBytes        int
+	DataHeaderBytes int `json:"data_header_bytes"`
+	AckBytes        int `json:"ack_bytes"`
+	RTSBytes        int `json:"rts_bytes"`
+	CTSBytes        int `json:"cts_bytes"`
 	// RTSThresholdBytes applies the RTS/CTS handshake to unicast data
 	// frames at or above this on-air size. 0 (the ns-2 default) applies it
 	// to all unicast data; set above any frame size to disable.
-	RTSThresholdBytes int
+	RTSThresholdBytes int `json:"rts_threshold_bytes"`
 
 	// BeaconInterval and ATIMWindow shape PSM; the paper uses 250 ms and
 	// 50 ms (it reports an average per-hop delay of half a beacon interval,
 	// 125 ms).
-	BeaconInterval sim.Time
-	ATIMWindow     sim.Time
+	BeaconInterval sim.Time `json:"beacon_interval_us"`
+	ATIMWindow     sim.Time `json:"atim_window_us"`
 
 	// MaxAnnouncements caps distinct (destination, level) ATIM exchanges a
 	// node can fit in one ATIM window.
-	MaxAnnouncements int
+	MaxAnnouncements int `json:"max_announcements"`
 
 	// ATIMContention, when true, drops the paper's §4.1 reliability
 	// assumption and models the ATIM window as a slotted contention
@@ -61,9 +68,9 @@ type Params struct {
 	// destination decoded it. ATIMSlots sets the window's slot count and
 	// ATIMRetryLimit bounds consecutive failed advertisement attempts
 	// before the packet is dropped (link failure).
-	ATIMContention bool
-	ATIMSlots      int
-	ATIMRetryLimit int
+	ATIMContention bool `json:"atim_contention"`
+	ATIMSlots      int  `json:"atim_slots"`
+	ATIMRetryLimit int  `json:"atim_retry_limit"`
 }
 
 // DefaultParams returns the parameters used throughout the paper's
@@ -87,6 +94,45 @@ func DefaultParams() Params {
 		ATIMSlots:        64,
 		ATIMRetryLimit:   3,
 	}
+}
+
+// Bounds on the sized parameters: the contention window is drawn from
+// and doubled in an int, the ATIM window allocates one counter per slot,
+// and the spacings are summed into NAVs and timeouts, which must not
+// overflow.
+const (
+	maxCW        = 1 << 20
+	maxATIMSlots = 1 << 16
+	maxSpacing   = sim.Second
+)
+
+// Validate reports parameters the MAC cannot run with. A zero ATIMSlots
+// or ATIMRetryLimit keeps its default, and a zero RTSThresholdBytes
+// applies RTS/CTS to all unicast data; negative values are rejected.
+func (p Params) Validate() error {
+	switch {
+	case p.SlotTime <= 0 || p.SIFS < 0 || p.DIFS < 0:
+		return errors.New("mac: slot time must be positive and SIFS, DIFS >= 0")
+	case p.SlotTime > maxSpacing || p.SIFS > maxSpacing || p.DIFS > maxSpacing:
+		return fmt.Errorf("mac: slot time, SIFS and DIFS must be at most %v", maxSpacing)
+	case p.CWMin < 0 || p.CWMax < p.CWMin || p.CWMax > maxCW:
+		return fmt.Errorf("mac: contention window needs 0 <= cw_min <= cw_max <= %d", maxCW)
+	case p.RetryLimit < 0:
+		return errors.New("mac: retry limit must be >= 0")
+	case !(p.DataRateMbps > 0) || math.IsInf(p.DataRateMbps, 1):
+		return errors.New("mac: data rate must be positive and finite")
+	case p.DataHeaderBytes < 0 || p.AckBytes < 0 || p.RTSBytes < 0 || p.CTSBytes < 0 || p.RTSThresholdBytes < 0:
+		return errors.New("mac: frame sizes and the RTS threshold must be >= 0")
+	case p.BeaconInterval <= 0 || p.ATIMWindow <= 0 || p.ATIMWindow >= p.BeaconInterval:
+		return errors.New("mac: need 0 < ATIM window < beacon interval")
+	case p.MaxAnnouncements < 1:
+		return errors.New("mac: max announcements must be >= 1")
+	case p.ATIMSlots < 0 || p.ATIMSlots > maxATIMSlots:
+		return fmt.Errorf("mac: ATIM slots must be in [0, %d]", maxATIMSlots)
+	case p.ATIMRetryLimit < 0:
+		return errors.New("mac: ATIM retry limit must be >= 0")
+	}
+	return nil
 }
 
 // Packet is the unit the routing layer hands to a MAC.

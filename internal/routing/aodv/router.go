@@ -1,6 +1,8 @@
 package aodv
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -27,28 +29,29 @@ type Hooks struct {
 
 // Config parameterizes a Router. Zero fields take RFC-flavoured defaults
 // scaled for the PSM latency regime (a flood advances roughly one hop per
-// beacon interval).
+// beacon interval). The JSON tags are the "aodv" object of the canonical
+// run-configuration encoding (internal/scenario).
 type Config struct {
 	// ActiveRouteTimeout is the route lifetime, refreshed on use. The RFC
 	// default of 3 s is the behaviour the paper criticizes: at low packet
 	// rates routes expire between packets and every packet re-floods.
-	ActiveRouteTimeout sim.Time
+	ActiveRouteTimeout sim.Time `json:"active_route_timeout_us"`
 	// DiscoveryTimeout is the base RREP wait, doubled per retry.
-	DiscoveryTimeout sim.Time
+	DiscoveryTimeout sim.Time `json:"discovery_timeout_us"`
 	// MaxDiscoveryAttempts bounds retries (RREQ_RETRIES+1 in RFC terms).
-	MaxDiscoveryAttempts int
+	MaxDiscoveryAttempts int `json:"max_discovery_attempts"`
 	// NonPropagatingFirst enables the TTL=1 expanding-ring first attempt.
-	NonPropagatingFirst bool
+	NonPropagatingFirst bool `json:"non_propagating_first"`
 	// HelloInterval spaces periodic hello broadcasts while the node has
 	// active routes; 0 disables hellos.
-	HelloInterval sim.Time
+	HelloInterval sim.Time `json:"hello_interval_us"`
 	// SendBufferCap bounds buffered packets per destination.
-	SendBufferCap int
+	SendBufferCap int `json:"send_buffer_cap"`
 	// RebroadcastJitter desynchronizes flood rebroadcasts.
-	RebroadcastJitter sim.Time
+	RebroadcastJitter sim.Time `json:"rebroadcast_jitter_us"`
 	// IntermediateReplies lets nodes with fresh-enough table entries
 	// answer RREQs (RFC default behaviour).
-	IntermediateReplies bool
+	IntermediateReplies bool `json:"intermediate_replies"`
 }
 
 // DefaultConfig returns the defaults used by the comparison experiments.
@@ -63,6 +66,26 @@ func DefaultConfig() Config {
 		RebroadcastJitter:    10 * sim.Millisecond,
 		IntermediateReplies:  true,
 	}
+}
+
+// maxDiscoveryAttempts bounds MaxDiscoveryAttempts: the RREP wait
+// doubles per attempt, and past this many doublings it overflows.
+const maxDiscoveryAttempts = 32
+
+// Validate reports settings the router cannot run with. Zero fields keep
+// the defaults New fills in; negative values are rejected.
+func (c Config) Validate() error {
+	switch {
+	case c.SendBufferCap < 0:
+		return errors.New("aodv: send buffer capacity must be >= 0")
+	case c.MaxDiscoveryAttempts < 0 || c.MaxDiscoveryAttempts > maxDiscoveryAttempts:
+		return fmt.Errorf("aodv: max discovery attempts must be in [0, %d]", maxDiscoveryAttempts)
+	case c.ActiveRouteTimeout < 0 || c.DiscoveryTimeout < 0 || c.HelloInterval < 0:
+		return errors.New("aodv: route timeout, discovery timeout and hello interval must be >= 0")
+	case c.RebroadcastJitter < 0 || c.RebroadcastJitter == sim.MaxTime:
+		return errors.New("aodv: rebroadcast jitter must be in [0, MaxTime)")
+	}
+	return nil
 }
 
 // Stats counts router events.

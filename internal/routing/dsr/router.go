@@ -1,6 +1,8 @@
 package dsr
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -37,42 +39,44 @@ type Hooks struct {
 	DataActivity func()
 }
 
-// Config parameterizes a Router.
+// Config parameterizes a Router. The JSON tags are the "dsr" object of the
+// canonical run-configuration encoding (internal/scenario); the runtime
+// gossip hooks have no serialized form.
 type Config struct {
 	// CacheCapacity and CacheLifetime configure the route cache
 	// (lifetime 0 disables timeouts).
-	CacheCapacity int
-	CacheLifetime sim.Time
+	CacheCapacity int      `json:"cache_capacity"`
+	CacheLifetime sim.Time `json:"cache_lifetime_us"`
 
 	// NonPropagatingFirst enables the expanding-ring search: the first
 	// discovery attempt is a 1-hop RREQ.
-	NonPropagatingFirst bool
+	NonPropagatingFirst bool `json:"non_propagating_first"`
 	// DiscoveryTimeout is the base RREP wait; it doubles per attempt.
-	DiscoveryTimeout sim.Time
+	DiscoveryTimeout sim.Time `json:"discovery_timeout_us"`
 	// MaxDiscoveryAttempts bounds a discovery round before buffered
 	// packets for the target are dropped.
-	MaxDiscoveryAttempts int
+	MaxDiscoveryAttempts int `json:"max_discovery_attempts"`
 	// SendBufferCap bounds buffered packets per destination;
 	// SendBufferTimeout expires stale buffered packets.
-	SendBufferCap     int
-	SendBufferTimeout sim.Time
+	SendBufferCap     int      `json:"send_buffer_cap"`
+	SendBufferTimeout sim.Time `json:"send_buffer_timeout_us"`
 
 	// CacheReplies lets intermediate nodes answer RREQs from cache.
-	CacheReplies bool
+	CacheReplies bool `json:"cache_replies"`
 	// MaxRepliesPerRequest caps how many RREP copies a target generates
 	// for one discovery (DSR offers alternative routes; §2.1).
-	MaxRepliesPerRequest int
+	MaxRepliesPerRequest int `json:"max_replies_per_request"`
 	// MaxSalvage bounds per-packet salvage operations.
-	MaxSalvage int
+	MaxSalvage int `json:"max_salvage"`
 	// RebroadcastJitter randomizes flood rebroadcasts to desynchronize
 	// the broadcast storm.
-	RebroadcastJitter sim.Time
+	RebroadcastJitter sim.Time `json:"rebroadcast_jitter_us"`
 
 	// Gossip, when non-nil, applies the Rcast broadcast extension:
 	// probabilistic RREQ rebroadcast damping (§5).
-	Gossip *core.BroadcastGossip
+	Gossip *core.BroadcastGossip `json:"-"`
 	// NeighborCount supplies the local neighbor count for Gossip.
-	NeighborCount func() int
+	NeighborCount func() int `json:"-"`
 }
 
 // DefaultConfig returns production defaults tuned for the paper's
@@ -91,6 +95,26 @@ func DefaultConfig() Config {
 		MaxSalvage:           1,
 		RebroadcastJitter:    10 * sim.Millisecond,
 	}
+}
+
+// maxDiscoveryAttempts bounds MaxDiscoveryAttempts: the RREP wait
+// doubles per attempt, and past this many doublings it overflows.
+const maxDiscoveryAttempts = 32
+
+// Validate reports settings the router cannot run with. Zero fields keep
+// the defaults New fills in; negative values are rejected.
+func (c Config) Validate() error {
+	switch {
+	case c.CacheCapacity < 0 || c.SendBufferCap < 0 || c.MaxRepliesPerRequest < 0 || c.MaxSalvage < 0:
+		return errors.New("dsr: capacities and reply/salvage limits must be >= 0")
+	case c.MaxDiscoveryAttempts < 0 || c.MaxDiscoveryAttempts > maxDiscoveryAttempts:
+		return fmt.Errorf("dsr: max discovery attempts must be in [0, %d]", maxDiscoveryAttempts)
+	case c.CacheLifetime < 0 || c.DiscoveryTimeout < 0 || c.SendBufferTimeout < 0:
+		return errors.New("dsr: cache lifetime and timeouts must be >= 0")
+	case c.RebroadcastJitter < 0 || c.RebroadcastJitter == sim.MaxTime:
+		return errors.New("dsr: rebroadcast jitter must be in [0, MaxTime)")
+	}
+	return nil
 }
 
 // Stats counts router events.

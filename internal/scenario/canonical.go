@@ -26,137 +26,8 @@ const CanonicalVersion = 3
 // serialized form and therefore cannot be canonically encoded.
 var ErrNotCanonical = errors.New("scenario: config has runtime-only fields and no canonical encoding")
 
-// canonicalConfig mirrors Config field-for-field with a fixed declaration
-// order and explicit values for every field (encoding/json emits struct
-// fields in declaration order, and nothing here is omitempty). Times are
-// integer microseconds. Do not reorder fields — that is an encoding change
-// and needs a CanonicalVersion bump.
-type canonicalConfig struct {
-	V       int    `json:"v"`
-	Scheme  string `json:"scheme"`
-	Policy  string `json:"policy"`
-	Routing string `json:"routing"`
-
-	Nodes      int     `json:"nodes"`
-	FieldW     float64 `json:"field_w"`
-	FieldH     float64 `json:"field_h"`
-	RangeM     float64 `json:"range_m"`
-	TxPowerDBm float64 `json:"tx_power_dbm"`
-
-	Connections    int     `json:"connections"`
-	PacketRate     float64 `json:"packet_rate"`
-	PacketBytes    int     `json:"packet_bytes"`
-	TrafficStartUS int64   `json:"traffic_start_us"`
-	TrafficStopUS  int64   `json:"traffic_stop_us"`
-
-	MinSpeed float64 `json:"min_speed"`
-	MaxSpeed float64 `json:"max_speed"`
-	PauseUS  int64   `json:"pause_us"`
-
-	Channel       string  `json:"channel"`
-	ShadowSigmaDB float64 `json:"shadow_sigma_db"`
-	Mobility      string  `json:"mobility"`
-	GroupSize     int     `json:"group_size"`
-	GroupRadiusM  float64 `json:"group_radius_m"`
-
-	DurationUS int64 `json:"duration_us"`
-	Seed       int64 `json:"seed"`
-
-	MAC  canonicalMAC  `json:"mac"`
-	DSR  canonicalDSR  `json:"dsr"`
-	AODV canonicalAODV `json:"aodv"`
-
-	ODPMRREPKeepAliveUS    int64 `json:"odpm_rrep_keepalive_us"`
-	ODPMDataKeepAliveUS    int64 `json:"odpm_data_keepalive_us"`
-	ODPMPromiscuousRefresh bool  `json:"odpm_promiscuous_refresh"`
-
-	AwakeWatts    float64 `json:"awake_watts"`
-	SleepWatts    float64 `json:"sleep_watts"`
-	BatteryJoules float64 `json:"battery_joules"`
-
-	GossipFanout float64 `json:"gossip_fanout"`
-
-	Faults *canonicalFaults `json:"faults"`
-	Audit  bool             `json:"audit"`
-}
-
-type canonicalMAC struct {
-	SlotTimeUS        int64   `json:"slot_time_us"`
-	SIFSUS            int64   `json:"sifs_us"`
-	DIFSUS            int64   `json:"difs_us"`
-	CWMin             int     `json:"cw_min"`
-	CWMax             int     `json:"cw_max"`
-	RetryLimit        int     `json:"retry_limit"`
-	DataRateMbps      float64 `json:"data_rate_mbps"`
-	DataHeaderBytes   int     `json:"data_header_bytes"`
-	AckBytes          int     `json:"ack_bytes"`
-	RTSBytes          int     `json:"rts_bytes"`
-	CTSBytes          int     `json:"cts_bytes"`
-	RTSThresholdBytes int     `json:"rts_threshold_bytes"`
-	BeaconIntervalUS  int64   `json:"beacon_interval_us"`
-	ATIMWindowUS      int64   `json:"atim_window_us"`
-	MaxAnnouncements  int     `json:"max_announcements"`
-	ATIMContention    bool    `json:"atim_contention"`
-	ATIMSlots         int     `json:"atim_slots"`
-	ATIMRetryLimit    int     `json:"atim_retry_limit"`
-}
-
-type canonicalDSR struct {
-	CacheCapacity        int   `json:"cache_capacity"`
-	CacheLifetimeUS      int64 `json:"cache_lifetime_us"`
-	NonPropagatingFirst  bool  `json:"non_propagating_first"`
-	DiscoveryTimeoutUS   int64 `json:"discovery_timeout_us"`
-	MaxDiscoveryAttempts int   `json:"max_discovery_attempts"`
-	SendBufferCap        int   `json:"send_buffer_cap"`
-	SendBufferTimeoutUS  int64 `json:"send_buffer_timeout_us"`
-	CacheReplies         bool  `json:"cache_replies"`
-	MaxRepliesPerRequest int   `json:"max_replies_per_request"`
-	MaxSalvage           int   `json:"max_salvage"`
-	RebroadcastJitterUS  int64 `json:"rebroadcast_jitter_us"`
-}
-
-type canonicalAODV struct {
-	ActiveRouteTimeoutUS int64 `json:"active_route_timeout_us"`
-	DiscoveryTimeoutUS   int64 `json:"discovery_timeout_us"`
-	MaxDiscoveryAttempts int   `json:"max_discovery_attempts"`
-	NonPropagatingFirst  bool  `json:"non_propagating_first"`
-	HelloIntervalUS      int64 `json:"hello_interval_us"`
-	SendBufferCap        int   `json:"send_buffer_cap"`
-	RebroadcastJitterUS  int64 `json:"rebroadcast_jitter_us"`
-	IntermediateReplies  bool  `json:"intermediate_replies"`
-}
-
-type canonicalFaults struct {
-	Crashes       []canonicalCrash     `json:"crashes"`
-	CrashFraction float64              `json:"crash_fraction"`
-	DowntimeUS    int64                `json:"downtime_us"`
-	Loss          canonicalLoss        `json:"loss"`
-	Partitions    []canonicalPartition `json:"partitions"`
-	BatteryJitter float64              `json:"battery_jitter"`
-}
-
-type canonicalCrash struct {
-	Node        int   `json:"node"`
-	AtUS        int64 `json:"at_us"`
-	RecoverAtUS int64 `json:"recover_at_us"`
-}
-
-type canonicalLoss struct {
-	PGood      float64 `json:"p_good"`
-	PBad       float64 `json:"p_bad"`
-	MeanGoodUS int64   `json:"mean_good_us"`
-	MeanBadUS  int64   `json:"mean_bad_us"`
-	PerLink    bool    `json:"per_link"`
-}
-
-type canonicalPartition struct {
-	StartFrac float64 `json:"start_frac"`
-	StopFrac  float64 `json:"stop_frac"`
-	RampUS    int64   `json:"ramp_us"`
-}
-
 // CanonicalJSON returns the canonical, version-stamped JSON encoding of
-// cfg: one line, fixed field order, every field explicit (defaults
+// cfg: one line, the field table's order, every field explicit (defaults
 // included), simulation times as integer microseconds. Two Configs encode
 // to the same bytes if and only if they describe the same simulation, so
 // the encoding is a sound content-address for result caches.
@@ -174,7 +45,7 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		return nil, fmt.Errorf("%w: Policy is set (use PolicyName for registered policies)", ErrNotCanonical)
 	case c.PolicyName != "" && !core.PolicyKnown(c.PolicyName):
 		return nil, fmt.Errorf("%w: unknown policy %q (want one of %v)", ErrNotCanonical, c.PolicyName, core.PolicyNames())
-	case c.PolicyName != "" && c.Scheme == SchemeAlwaysOn:
+	case c.overridesPolicy() && c.Scheme == SchemeAlwaysOn:
 		return nil, fmt.Errorf("%w: scheme %v ignores overhearing policies", ErrNotCanonical, c.Scheme)
 	case c.Trace != nil:
 		return nil, fmt.Errorf("%w: Trace sink is set", ErrNotCanonical)
@@ -183,158 +54,64 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 	case c.DSR.Gossip != nil || c.DSR.NeighborCount != nil:
 		return nil, fmt.Errorf("%w: DSR gossip hooks are set (use GossipFanout)", ErrNotCanonical)
 	}
-	enc := canonicalConfig{
-		V:       CanonicalVersion,
-		Scheme:  c.Scheme.String(),
-		Policy:  c.EffectivePolicyName(),
-		Routing: c.Routing.String(),
-
-		Nodes:      c.Nodes,
-		FieldW:     c.FieldW,
-		FieldH:     c.FieldH,
-		RangeM:     c.RangeM,
-		TxPowerDBm: c.TxPowerDBm,
-
-		Connections:    c.Connections,
-		PacketRate:     c.PacketRate,
-		PacketBytes:    c.PacketBytes,
-		TrafficStartUS: int64(c.TrafficStart),
-		TrafficStopUS:  int64(c.TrafficStop),
-
-		MinSpeed: c.MinSpeed,
-		MaxSpeed: c.MaxSpeed,
-		PauseUS:  int64(c.Pause),
-
-		Channel:       c.channelName(),
-		ShadowSigmaDB: canonicalSigma(c),
-		Mobility:      c.mobilityName(),
-		GroupSize:     canonicalGroupSize(c),
-		GroupRadiusM:  canonicalGroupRadius(c),
-
-		DurationUS: int64(c.Duration),
-		Seed:       c.Seed,
-
-		MAC: canonicalMAC{
-			SlotTimeUS:        int64(c.MAC.SlotTime),
-			SIFSUS:            int64(c.MAC.SIFS),
-			DIFSUS:            int64(c.MAC.DIFS),
-			CWMin:             c.MAC.CWMin,
-			CWMax:             c.MAC.CWMax,
-			RetryLimit:        c.MAC.RetryLimit,
-			DataRateMbps:      c.MAC.DataRateMbps,
-			DataHeaderBytes:   c.MAC.DataHeaderBytes,
-			AckBytes:          c.MAC.AckBytes,
-			RTSBytes:          c.MAC.RTSBytes,
-			CTSBytes:          c.MAC.CTSBytes,
-			RTSThresholdBytes: c.MAC.RTSThresholdBytes,
-			BeaconIntervalUS:  int64(c.MAC.BeaconInterval),
-			ATIMWindowUS:      int64(c.MAC.ATIMWindow),
-			MaxAnnouncements:  c.MAC.MaxAnnouncements,
-			ATIMContention:    c.MAC.ATIMContention,
-			ATIMSlots:         c.MAC.ATIMSlots,
-			ATIMRetryLimit:    c.MAC.ATIMRetryLimit,
-		},
-		DSR: canonicalDSR{
-			CacheCapacity:        c.DSR.CacheCapacity,
-			CacheLifetimeUS:      int64(c.DSR.CacheLifetime),
-			NonPropagatingFirst:  c.DSR.NonPropagatingFirst,
-			DiscoveryTimeoutUS:   int64(c.DSR.DiscoveryTimeout),
-			MaxDiscoveryAttempts: c.DSR.MaxDiscoveryAttempts,
-			SendBufferCap:        c.DSR.SendBufferCap,
-			SendBufferTimeoutUS:  int64(c.DSR.SendBufferTimeout),
-			CacheReplies:         c.DSR.CacheReplies,
-			MaxRepliesPerRequest: c.DSR.MaxRepliesPerRequest,
-			MaxSalvage:           c.DSR.MaxSalvage,
-			RebroadcastJitterUS:  int64(c.DSR.RebroadcastJitter),
-		},
-		AODV: canonicalAODV{
-			ActiveRouteTimeoutUS: int64(c.AODV.ActiveRouteTimeout),
-			DiscoveryTimeoutUS:   int64(c.AODV.DiscoveryTimeout),
-			MaxDiscoveryAttempts: c.AODV.MaxDiscoveryAttempts,
-			NonPropagatingFirst:  c.AODV.NonPropagatingFirst,
-			HelloIntervalUS:      int64(c.AODV.HelloInterval),
-			SendBufferCap:        c.AODV.SendBufferCap,
-			RebroadcastJitterUS:  int64(c.AODV.RebroadcastJitter),
-			IntermediateReplies:  c.AODV.IntermediateReplies,
-		},
-
-		ODPMRREPKeepAliveUS:    int64(c.ODPMRREPKeepAlive),
-		ODPMDataKeepAliveUS:    int64(c.ODPMDataKeepAlive),
-		ODPMPromiscuousRefresh: c.ODPMPromiscuousRefresh,
-
-		AwakeWatts:    c.AwakeWatts,
-		SleepWatts:    c.SleepWatts,
-		BatteryJoules: c.BatteryJoules,
-
-		GossipFanout: c.GossipFanout,
-
-		Faults: canonicalizeFaults(c.Faults),
-		Audit:  c.Audit,
+	buf := []byte{'{'}
+	for i := range fieldTable {
+		f := &fieldTable[i]
+		if f.input {
+			continue
+		}
+		get := f.get
+		if f.canon != nil {
+			get = f.canon
+		}
+		v, err := json.Marshal(get(&c))
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) > 1 {
+			buf = append(buf, ',')
+		}
+		buf = append(append(append(buf, '"'), f.key...), '"', ':')
+		buf = append(buf, v...)
 	}
-	return json.Marshal(enc)
+	return append(buf, '}'), nil
 }
 
 // canonicalSigma normalizes the shadowing sigma: it only affects runs with
 // Channel "shadowing", so any other channel encodes 0 — a stray sigma on a
 // disk config must not split the cache key.
-func canonicalSigma(c Config) float64 {
+func canonicalSigma(c *Config) float64 {
 	if c.channelName() != "shadowing" {
 		return 0
 	}
 	return c.ShadowSigmaDB
 }
 
-// canonicalGroupSize normalizes the group size: only the "group" mobility
-// model reads it, and a zero value means the default, so non-group configs
-// encode 0 and group configs encode the effective value.
-func canonicalGroupSize(c Config) int {
+// onlyGroup normalizes a group-mobility parameter: only the "group" model
+// reads it, so other models encode 0 and group configs encode the
+// effective value.
+func onlyGroup[T int | float64](c *Config, v T) T {
 	if c.mobilityName() != "group" {
 		return 0
 	}
-	return c.groupSize()
+	return v
 }
 
-// canonicalGroupRadius mirrors canonicalGroupSize for the wander radius.
-func canonicalGroupRadius(c Config) float64 {
-	if c.mobilityName() != "group" {
-		return 0
-	}
-	return c.groupRadius()
-}
-
-// canonicalizeFaults maps a fault plan to its canonical form. nil stays
-// nil (encoded as JSON null); empty slices normalize to [] so a plan built
-// with nil slices and one built with empty slices — identical behaviour —
-// encode identically.
-func canonicalizeFaults(p *fault.Plan) *canonicalFaults {
+// canonicalFaults normalizes a fault plan: nil stays nil (encoded as JSON
+// null); nil slices become empty ones, so a plan built with nil slices and
+// one built with empty slices — identical behaviour — encode identically.
+func canonicalFaults(p *fault.Plan) *fault.Plan {
 	if p == nil {
 		return nil
 	}
-	cf := &canonicalFaults{
-		Crashes:       make([]canonicalCrash, 0, len(p.Crashes)),
-		CrashFraction: p.CrashFraction,
-		DowntimeUS:    int64(p.Downtime),
-		Loss: canonicalLoss{
-			PGood:      p.Loss.PGood,
-			PBad:       p.Loss.PBad,
-			MeanGoodUS: int64(p.Loss.MeanGood),
-			MeanBadUS:  int64(p.Loss.MeanBad),
-			PerLink:    p.Loss.PerLink,
-		},
-		Partitions:    make([]canonicalPartition, 0, len(p.Partitions)),
-		BatteryJitter: p.BatteryJitter,
+	cp := *p
+	if cp.Crashes == nil {
+		cp.Crashes = []fault.Crash{}
 	}
-	for _, cr := range p.Crashes {
-		cf.Crashes = append(cf.Crashes, canonicalCrash{
-			Node: cr.Node, AtUS: int64(cr.At), RecoverAtUS: int64(cr.RecoverAt),
-		})
+	if cp.Partitions == nil {
+		cp.Partitions = []fault.Partition{}
 	}
-	for _, w := range p.Partitions {
-		cf.Partitions = append(cf.Partitions, canonicalPartition{
-			StartFrac: w.StartFrac, StopFrac: w.StopFrac, RampUS: int64(w.Ramp),
-		})
-	}
-	return cf
+	return &cp
 }
 
 // CanonicalKey content-addresses a replication batch: the hex SHA-256 of

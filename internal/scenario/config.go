@@ -58,9 +58,10 @@ const (
 )
 
 // schemeRegistry is the table of registered schemes in presentation
-// order. Validation (Config.Validate, Grid.validate) checks membership
-// against this table rather than an enum span, so registering a scheme
-// here is the single step that makes it sweepable and parseable.
+// order. Validation (Config.Validate, ParseScheme and so every decoded
+// job, sweep cell and flag) checks membership against this table rather
+// than an enum span, so registering a scheme here is the single step that
+// makes it sweepable and parseable.
 var schemeRegistry = []Scheme{SchemeAlwaysOn, SchemePSM, SchemePSMNoOverhear, SchemeODPM, SchemeRcast}
 
 // Schemes lists all registered schemes in presentation order. The slice
@@ -137,7 +138,8 @@ type Config struct {
 	// it is part of the canonical encoding (v3), so named-policy runs are
 	// cacheable, sweepable and replayable. PSM-family schemes only:
 	// SchemeAlwaysOn never consults a policy, so setting either policy
-	// field alongside it is a validation error rather than a silent no-op.
+	// field alongside it (other than naming its own "none") is a
+	// validation error rather than a silent no-op.
 	PolicyName string
 
 	Nodes          int
@@ -167,8 +169,9 @@ type Config struct {
 
 	// Channel selects the propagation model: "disk" (default; "" means
 	// disk), "shadowing" or "fading" (see internal/propagation).
-	// ShadowSigmaDB is the log-normal shadowing std-dev in dB; it only
-	// applies to "shadowing", and zero sigma degenerates to the disk.
+	// ShadowSigmaDB is the log-normal shadowing std-dev in dB (4 in
+	// PaperDefaults); it only applies to "shadowing", and zero sigma
+	// degenerates to the disk.
 	Channel       string
 	ShadowSigmaDB float64
 
@@ -310,6 +313,12 @@ func (c Config) groupRadius() float64 {
 	return c.GroupRadiusM
 }
 
+// overridesPolicy reports whether PolicyName names a policy other than the
+// scheme's own.
+func (c Config) overridesPolicy() bool {
+	return c.PolicyName != "" && c.PolicyName != c.Scheme.defaultPolicy().Name()
+}
+
 // EffectivePolicyName resolves the named overhearing policy in force for
 // the run: PolicyName when set, else the name of the scheme's default
 // policy. A runtime Policy override (non-nil Config.Policy) is not
@@ -347,26 +356,28 @@ func nameKnown(name string, names []string) bool {
 // PaperDefaults returns the evaluation setup of §4.1: 100 nodes on a
 // 1500 m × 300 m field, 250 m range, 2 Mbps, 20 CBR connections of
 // 512-byte packets, random waypoint at up to 20 m/s, 1125 s of simulated
-// time, 250 ms beacon intervals with 50 ms ATIM windows.
+// time, 250 ms beacon intervals with 50 ms ATIM windows. Selecting the
+// "shadowing" channel shadows at 4 dB unless ShadowSigmaDB says otherwise.
 func PaperDefaults() Config {
 	return Config{
-		Scheme:       SchemeRcast,
-		Nodes:        100,
-		FieldW:       1500,
-		FieldH:       300,
-		RangeM:       250,
-		Connections:  20,
-		PacketRate:   0.4,
-		PacketBytes:  512,
-		TrafficStart: 5 * sim.Second,
-		MinSpeed:     1,
-		MaxSpeed:     20,
-		Pause:        600 * sim.Second,
-		Duration:     1125 * sim.Second,
-		Seed:         1,
-		MAC:          mac.DefaultParams(),
-		DSR:          dsr.DefaultConfig(),
-		AODV:         aodv.DefaultConfig(),
+		Scheme:        SchemeRcast,
+		Nodes:         100,
+		FieldW:        1500,
+		FieldH:        300,
+		RangeM:        250,
+		Connections:   20,
+		PacketRate:    0.4,
+		PacketBytes:   512,
+		TrafficStart:  5 * sim.Second,
+		MinSpeed:      1,
+		MaxSpeed:      20,
+		Pause:         600 * sim.Second,
+		ShadowSigmaDB: 4,
+		Duration:      1125 * sim.Second,
+		Seed:          1,
+		MAC:           mac.DefaultParams(),
+		DSR:           dsr.DefaultConfig(),
+		AODV:          aodv.DefaultConfig(),
 	}
 }
 
@@ -377,7 +388,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: invalid scheme %d", int(c.Scheme))
 	case c.Policy != nil && c.PolicyName != "":
 		return fmt.Errorf("scenario: Policy and PolicyName %q are both set (pick one)", c.PolicyName)
-	case (c.Policy != nil || c.PolicyName != "") && c.Scheme == SchemeAlwaysOn:
+	case (c.Policy != nil || c.overridesPolicy()) && c.Scheme == SchemeAlwaysOn:
 		// SchemeAlwaysOn never consults an overhearing policy; silently
 		// ignoring one would let two behaviourally identical runs cache
 		// under different keys — and read as different experiments.
@@ -418,6 +429,19 @@ func (c Config) Validate() error {
 		return errors.New("scenario: group size must be >= 0")
 	case c.GroupRadiusM < 0:
 		return errors.New("scenario: group radius must be >= 0")
+	case c.GossipFanout < 0:
+		return errors.New("scenario: gossip fanout must be >= 0")
+	case c.BatteryJoules < 0:
+		return errors.New("scenario: battery capacity must be >= 0")
+	case c.AwakeWatts < 0 || c.SleepWatts < 0:
+		return errors.New("scenario: power draws must be >= 0")
+	case c.ODPMRREPKeepAlive < 0 || c.ODPMDataKeepAlive < 0:
+		return errors.New("scenario: ODPM keep-alives must be >= 0")
+	}
+	for _, err := range []error{c.MAC.Validate(), c.DSR.Validate(), c.AODV.Validate()} {
+		if err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Nodes); err != nil {

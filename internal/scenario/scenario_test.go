@@ -200,6 +200,23 @@ func TestValidateRejections(t *testing.T) {
 		{name: "policy obj on 802.11", mutate: func(c *Config) { c.Scheme = SchemeAlwaysOn; c.Policy = core.Rcast{} }},
 		{name: "tx power too low", mutate: func(c *Config) { c.TxPowerDBm = -60 }},
 		{name: "tx power NaN", mutate: func(c *Config) { c.TxPowerDBm = math.NaN() }},
+		// Negative values run exactly like 0 but would cache under
+		// another key.
+		{name: "negative gossip fanout", mutate: func(c *Config) { c.GossipFanout = -1 }},
+		{name: "negative battery", mutate: func(c *Config) { c.BatteryJoules = -5 }},
+		// The nested MAC/routing objects, the power draws and the ODPM
+		// keep-alives are settable from job bodies.
+		{name: "negative cw_min", mutate: func(c *Config) { c.MAC.CWMin = -1 }},
+		{name: "cw_max below cw_min", mutate: func(c *Config) { c.MAC.CWMax = c.MAC.CWMin - 1 }},
+		{name: "no beacon interval", mutate: func(c *Config) { c.MAC.BeaconInterval = 0 }},
+		{name: "ATIM window past beacon", mutate: func(c *Config) { c.MAC.ATIMWindow = c.MAC.BeaconInterval }},
+		{name: "no data rate", mutate: func(c *Config) { c.MAC.DataRateMbps = 0 }},
+		{name: "huge ATIM slots", mutate: func(c *Config) { c.MAC.ATIMSlots = 1 << 40 }},
+		{name: "negative dsr cache", mutate: func(c *Config) { c.DSR.CacheCapacity = -1 }},
+		{name: "max dsr jitter", mutate: func(c *Config) { c.DSR.RebroadcastJitter = sim.MaxTime }},
+		{name: "negative aodv hello", mutate: func(c *Config) { c.AODV.HelloInterval = -1 }},
+		{name: "negative awake watts", mutate: func(c *Config) { c.AwakeWatts = -1 }},
+		{name: "negative keep-alive", mutate: func(c *Config) { c.ODPMDataKeepAlive = -1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

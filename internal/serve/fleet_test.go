@@ -193,7 +193,7 @@ func TestFleetNamedPolicySweepByteIdenticalToSerial(t *testing.T) {
 		Nodes:       12,
 		Connections: 3,
 		DurationSec: 10,
-		Static:      true,
+		Set:         scenario.Fields{"static": true},
 		Reps:        1,
 	}
 	coord, _ := startFleet(t, 2, FleetOptions{})

@@ -232,10 +232,35 @@ func TestHTTPBadRequests(t *testing.T) {
 		"policy on 802.11": `{"scheme":"802.11","policy":"rcast"}`,
 		"unknown policy":   `{"scheme":"Rcast","policy":"fixed-0.50"}`,
 		"bad tx power":     `{"scheme":"Rcast","tx_power_dbm":-99}`,
+		// Negative values run exactly like 0 but would cache under
+		// another key.
+		"negative gossip":  `{"scheme":"Rcast","gossip_fanout":-1}`,
+		"negative battery": `{"scheme":"Rcast","battery_joules":-5}`,
+		"null scheme":      `{"scheme":null}`,
+		// The nested objects reach the MAC and routers; an out-of-range
+		// value there must be a 400, not a worker panic.
+		"negative cw_min":      `{"scheme":"Rcast","mac":{"cw_min":-1}}`,
+		"zero beacon interval": `{"scheme":"Rcast","mac":{"beacon_interval_us":0}}`,
+		"zero data rate":       `{"scheme":"Rcast","mac":{"data_rate_mbps":0}}`,
+		"negative dsr cache":   `{"scheme":"Rcast","dsr":{"cache_capacity":-1}}`,
+		"negative sleep watts": `{"scheme":"Rcast","sleep_watts":-1}`,
 	} {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	for name, body := range map[string]string{
+		"negative cw_min axis": `{"scheme":"Rcast","axes":{"mac":[{"cw_min":31},{"cw_min":-1}]}}`,
+		"negative keep-alive":  `{"schemes":["ODPM"],"odpm_data_keepalive_us":-1}`,
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep %s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/nope")

@@ -11,55 +11,44 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
-	"rcast/internal/fault"
 	"rcast/internal/scenario"
-	"rcast/internal/sim"
 )
 
-// JobRequest is the submission body for POST /api/v1/jobs: the
-// paper-facing subset of scenario.Config, mirroring rcast-sim's flags.
-// Zero-valued fields keep the paper defaults (scenario.PaperDefaults);
-// fields whose zero value is itself meaningful are pointers. Unknown
-// fields are rejected so a typo cannot silently submit — and cache — the
-// wrong experiment.
+// JobRequest is the submission body for POST /api/v1/jobs: a partial run
+// configuration in field-table keys (scenario.Fields) plus the execution
+// parameters reps, timeout_sec and trace. Absent keys keep the paper
+// defaults (scenario.PaperDefaults); present keys are taken as given, so
+// an explicit zero is a zero. "scheme" is required. Unknown keys are
+// rejected so a typo cannot silently submit — and cache — the wrong
+// experiment.
+//
+// The typed configuration fields are shorthands for the keys Go callers
+// set most; a zero shorthand is absent. Set holds every other key.
+// Decoding a body fills a shorthand with its key's value unless that
+// value is zero, which stays in Set, so a body round-trips exactly.
 type JobRequest struct {
-	Scheme  string `json:"scheme"`
-	Policy  string `json:"policy,omitempty"`  // overhearing policy; "" = scheme default
-	Routing string `json:"routing,omitempty"` // "DSR" (default) or "AODV"
-
-	Nodes       int     `json:"nodes,omitempty"`
-	FieldW      float64 `json:"field_w,omitempty"`
-	FieldH      float64 `json:"field_h,omitempty"`
-	RangeM      float64 `json:"range_m,omitempty"`
-	TxPowerDBm  float64 `json:"tx_power_dbm,omitempty"` // TX power offset; 0 = nominal
-	Connections int     `json:"connections,omitempty"`
-	PacketRate  float64 `json:"packet_rate,omitempty"`
-	PacketBytes int     `json:"packet_bytes,omitempty"`
-
+	Scheme      string   `json:"scheme,omitempty"`
+	Nodes       int      `json:"nodes,omitempty"`
+	FieldW      float64  `json:"field_w,omitempty"`
+	FieldH      float64  `json:"field_h,omitempty"`
+	Connections int      `json:"connections,omitempty"`
+	PacketRate  float64  `json:"packet_rate,omitempty"`
 	DurationSec float64  `json:"duration_sec,omitempty"`
 	PauseSec    *float64 `json:"pause_sec,omitempty"`
-	Static      bool     `json:"static,omitempty"`
-	MinSpeed    *float64 `json:"min_speed,omitempty"`
-	MaxSpeed    *float64 `json:"max_speed,omitempty"`
+	Seed        *int64   `json:"seed,omitempty"`
 
-	Channel       string  `json:"channel,omitempty"` // propagation model; "" = disk
-	ShadowSigmaDB float64 `json:"shadow_sigma_db,omitempty"`
-	Mobility      string  `json:"mobility,omitempty"` // movement model; "" = waypoint
-	GroupSize     int     `json:"group_size,omitempty"`
-	GroupRadiusM  float64 `json:"group_radius_m,omitempty"`
+	// Set holds the other configuration keys, including the legacy
+	// static and fault_preset; a shorthand that is set wins over its key
+	// here.
+	Set scenario.Fields `json:"-"`
 
-	Seed *int64 `json:"seed,omitempty"`
-	Reps int    `json:"reps,omitempty"`
-
-	GossipFanout  float64 `json:"gossip_fanout,omitempty"`
-	BatteryJoules float64 `json:"battery_joules,omitempty"`
-	Audit         bool    `json:"audit,omitempty"`
-	FaultPreset   string  `json:"fault_preset,omitempty"`
+	Reps int `json:"reps,omitempty"`
 
 	// TimeoutSec bounds the job's wall-clock execution; 0 selects the
 	// server default. It is an execution parameter, not part of the
@@ -77,17 +66,43 @@ type JobRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+// jobExecKeys are a job body's keys outside the run configuration.
+var jobExecKeys = []string{"reps", "timeout_sec", "trace"}
+
+// jobFields is JobRequest without its JSON methods.
+type jobFields JobRequest
+
+// MarshalJSON writes the job body: the shorthands that are set, then Set.
+func (jr JobRequest) MarshalJSON() ([]byte, error) {
+	body, err := joinBody(jobFields(jr), jr.Set)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(body)
+}
+
+// UnmarshalJSON decodes a job body, rejecting keys outside the field
+// table and the execution parameters.
+func (jr *JobRequest) UnmarshalJSON(b []byte) error {
+	var typed jobFields
+	rest, err := splitBody(b, &typed, jobExecKeys...)
+	if err == nil {
+		err = rest.Check()
+	}
+	if err != nil {
+		return err
+	}
+	*jr = JobRequest(typed)
+	jr.Set = rest
+	return nil
+}
+
 // ParseJobRequest decodes a submission body strictly: unknown fields and
 // trailing garbage are errors.
 func ParseJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return req, fmt.Errorf("serve: bad job request: %w", err)
-	}
-	if dec.More() {
-		return req, fmt.Errorf("serve: bad job request: trailing data after JSON object")
 	}
 	return req, nil
 }
@@ -95,87 +110,79 @@ func ParseJobRequest(r io.Reader) (JobRequest, error) {
 // Config resolves the request against the paper defaults and validates
 // it, returning the runnable scenario.Config and the replication count.
 func (jr JobRequest) Config() (scenario.Config, int, error) {
-	cfg := scenario.PaperDefaults()
-	scheme, err := scenario.ParseScheme(jr.Scheme)
+	body, err := joinBody(jobFields(jr), jr.Set)
+	if err != nil {
+		return scenario.Config{}, 0, err
+	}
+	for _, k := range jobExecKeys {
+		delete(body, k)
+	}
+	if body["scheme"] == nil { // absent or null
+		return scenario.Config{}, 0, fmt.Errorf("serve: job has no scheme")
+	}
+	if jr.TimeoutSec < 0 {
+		return scenario.Config{}, 0, fmt.Errorf("serve: negative timeout_sec %v", jr.TimeoutSec)
+	}
+	cfg, err := body.Config()
 	if err != nil {
 		return cfg, 0, err
 	}
-	cfg.Scheme = scheme
-	cfg.PolicyName = jr.Policy
-	cfg.TxPowerDBm = jr.TxPowerDBm
-	switch jr.Routing {
-	case "", "DSR":
-		cfg.Routing = scenario.RoutingDSR
-	case "AODV":
-		cfg.Routing = scenario.RoutingAODV
-	default:
-		return cfg, 0, fmt.Errorf("serve: unknown routing %q (want DSR or AODV)", jr.Routing)
+	return cfg, max(jr.Reps, 1), nil
+}
+
+// splitBody decodes a JSON object into typed, a struct without JSON
+// methods, and returns the keys typed did not absorb: those whose field
+// is still zero after decoding, minus the keys named in drop.
+func splitBody(b []byte, typed any, drop ...string) (scenario.Fields, error) {
+	all, err := scenario.DecodeFields(b)
+	if err != nil {
+		return nil, err
 	}
-	if jr.Nodes != 0 {
-		cfg.Nodes = jr.Nodes
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	if err := dec.Decode(typed); err != nil {
+		return nil, err
 	}
-	if jr.FieldW != 0 {
-		cfg.FieldW = jr.FieldW
+	absorbed, err := joinBody(typed, nil)
+	if err != nil {
+		return nil, err
 	}
-	if jr.FieldH != 0 {
-		cfg.FieldH = jr.FieldH
+	for k := range absorbed {
+		delete(all, k)
 	}
-	if jr.RangeM != 0 {
-		cfg.RangeM = jr.RangeM
+	for _, k := range drop {
+		delete(all, k)
 	}
-	if jr.Connections != 0 {
-		cfg.Connections = jr.Connections
+	return all, nil
+}
+
+// joinBody is the inverse of splitBody: the keys of typed's set fields,
+// then those of set.
+func joinBody(typed any, set scenario.Fields) (scenario.Fields, error) {
+	b, err := json.Marshal(typed)
+	if err != nil {
+		return nil, err
 	}
-	if jr.PacketRate != 0 {
-		cfg.PacketRate = jr.PacketRate
+	all, err := scenario.DecodeFields(b)
+	if err != nil {
+		return nil, err
 	}
-	if jr.PacketBytes != 0 {
-		cfg.PacketBytes = jr.PacketBytes
-	}
-	if jr.DurationSec != 0 {
-		cfg.Duration = sim.FromSeconds(jr.DurationSec)
-	}
-	if jr.PauseSec != nil {
-		cfg.Pause = sim.FromSeconds(*jr.PauseSec)
-	}
-	if jr.MinSpeed != nil {
-		cfg.MinSpeed = *jr.MinSpeed
-	}
-	if jr.MaxSpeed != nil {
-		cfg.MaxSpeed = *jr.MaxSpeed
-	}
-	if jr.Static {
-		cfg.Pause = cfg.Duration
-	}
-	cfg.Channel = jr.Channel
-	cfg.ShadowSigmaDB = jr.ShadowSigmaDB
-	cfg.Mobility = jr.Mobility
-	cfg.GroupSize = jr.GroupSize
-	cfg.GroupRadiusM = jr.GroupRadiusM
-	if jr.Seed != nil {
-		cfg.Seed = *jr.Seed
-	}
-	cfg.GossipFanout = jr.GossipFanout
-	cfg.BatteryJoules = jr.BatteryJoules
-	cfg.Audit = jr.Audit
-	if jr.FaultPreset != "" {
-		plan, err := fault.Preset(jr.FaultPreset)
-		if err != nil {
-			return cfg, 0, err
+	for k, v := range set {
+		if _, ok := all[k]; !ok {
+			all[k] = v
 		}
-		cfg.Faults = plan
 	}
-	reps := jr.Reps
-	if reps < 1 {
-		reps = 1
+	return all, nil
+}
+
+// decodeBody decodes the JSON document in r into v; trailing data after
+// it is an error.
+func decodeBody(r io.Reader, v any) error {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return err
 	}
-	if jr.TimeoutSec < 0 {
-		return cfg, 0, fmt.Errorf("serve: negative timeout_sec %v", jr.TimeoutSec)
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, 0, err
-	}
-	return cfg, reps, nil
+	return json.Unmarshal(b, v)
 }
 
 // Timeout resolves the job's execution deadline against the server's

@@ -20,7 +20,7 @@ func quickRequest() JobRequest {
 		Nodes:       12,
 		Connections: 3,
 		DurationSec: 10,
-		Static:      true,
+		Set:         scenario.Fields{"static": true},
 		Reps:        1,
 	}
 }
@@ -87,7 +87,7 @@ func TestJobRequestConfig(t *testing.T) {
 		t.Fatal("unknown scheme accepted")
 	}
 	bad = quickRequest()
-	bad.Routing = "OSPF"
+	bad.Set["routing"] = "OSPF"
 	if _, _, err := bad.Config(); err == nil {
 		t.Fatal("unknown routing accepted")
 	}
@@ -97,7 +97,7 @@ func TestJobRequestConfig(t *testing.T) {
 		t.Fatal("negative timeout accepted")
 	}
 	bad = quickRequest()
-	bad.FaultPreset = "nope"
+	bad.Set["fault_preset"] = "nope"
 	if _, _, err := bad.Config(); err == nil {
 		t.Fatal("unknown fault preset accepted")
 	}
@@ -297,7 +297,7 @@ func TestCancelRunningJobRealSimulation(t *testing.T) {
 	req := quickRequest()
 	req.DurationSec = 3600
 	req.Nodes = 30
-	req.Static = false
+	req.Set = nil // mobile
 	job, out, err := s.Submit(req)
 	if err != nil || out != OutcomeAccepted {
 		t.Fatalf("submit: out=%v err=%v", out, err)
@@ -328,7 +328,7 @@ func TestJobDeadlineFails(t *testing.T) {
 	req := quickRequest()
 	req.DurationSec = 3600
 	req.Nodes = 30
-	req.Static = false
+	req.Set = nil // mobile
 	job, out, err := s.Submit(req)
 	if err != nil || out != OutcomeAccepted {
 		t.Fatalf("submit: out=%v err=%v", out, err)
@@ -390,7 +390,7 @@ func TestShutdownForceCancelsOnExpiredContext(t *testing.T) {
 	req := quickRequest()
 	req.DurationSec = 3600
 	req.Nodes = 30
-	req.Static = false
+	req.Set = nil // mobile
 	job, out, err := s.Submit(req)
 	if err != nil || out != OutcomeAccepted {
 		t.Fatalf("submit: out=%v err=%v", out, err)

@@ -8,24 +8,29 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"time"
 
 	"rcast/internal/scenario"
 )
 
-// SweepRequest is the submission body for POST /api/v1/sweeps: a
-// parameter grid (schemes × rates × pause times × fault presets × gossip
-// fanouts × channels × mobilities × policies × tx powers) over a base
-// configuration, expanded server-side into cells
-// keyed by scenario.CanonicalKey. Axis fields are plural; every other
-// field scopes the whole sweep and mirrors JobRequest. Unknown fields are
-// rejected so a typo cannot silently sweep the wrong grid.
+// SweepRequest is the submission body for POST /api/v1/sweeps: a base
+// configuration crossed with sweep axes, expanded server-side into cells
+// keyed by scenario.CanonicalKey. Every job key may be set at the base,
+// and any field-table key may be swept through "axes": {"<key>": [...]};
+// the plural axis fields of the original API stay accepted as aliases.
+// Unknown fields are rejected so a typo cannot silently sweep the wrong
+// grid.
+//
+// Cells expand scheme outermost, then the alias axes in declaration
+// order, then any other axis in field-table order; an empty axis keeps
+// the base. A negative pause means "static" (pause pinned to the
+// duration), and a pause axis overrides a static base.
 type SweepRequest struct {
-	// Axes. Schemes is required; the rest are optional (an empty axis
-	// keeps the base value for every cell). A negative pause means
-	// "static" (pause pinned to the simulation duration).
-	Schemes       []string  `json:"schemes"`
+	// Alias axes: scheme, packet_rate, pause_sec, fault_preset,
+	// gossip_fanout, channel, mobility, policy and tx_power_dbm.
+	Schemes       []string  `json:"schemes,omitempty"`
 	Rates         []float64 `json:"rates,omitempty"`
 	PausesSec     []float64 `json:"pauses_sec,omitempty"`
 	FaultPresets  []string  `json:"fault_presets,omitempty"`
@@ -35,48 +40,69 @@ type SweepRequest struct {
 	Policies      []string  `json:"policies,omitempty"`
 	TxPowersDBm   []float64 `json:"tx_powers_dbm,omitempty"`
 
-	// Base configuration shared by every cell.
-	Routing       string   `json:"routing,omitempty"`
-	Nodes         int      `json:"nodes,omitempty"`
-	FieldW        float64  `json:"field_w,omitempty"`
-	FieldH        float64  `json:"field_h,omitempty"`
-	RangeM        float64  `json:"range_m,omitempty"`
-	Connections   int      `json:"connections,omitempty"`
-	PacketBytes   int      `json:"packet_bytes,omitempty"`
-	DurationSec   float64  `json:"duration_sec,omitempty"`
-	Static        bool     `json:"static,omitempty"`
-	MinSpeed      *float64 `json:"min_speed,omitempty"`
-	MaxSpeed      *float64 `json:"max_speed,omitempty"`
-	Seed          *int64   `json:"seed,omitempty"`
-	Reps          int      `json:"reps,omitempty"`
-	BatteryJoules float64  `json:"battery_joules,omitempty"`
-	Audit         bool     `json:"audit,omitempty"`
-	ShadowSigmaDB float64  `json:"shadow_sigma_db,omitempty"`
-	GroupSize     int      `json:"group_size,omitempty"`
-	GroupRadiusM  float64  `json:"group_radius_m,omitempty"`
+	// Axes maps field-table keys to the values each cell takes.
+	Axes map[string][]any `json:"axes,omitempty"`
 
+	// Base shorthands: a zero value is absent, as in JobRequest.
+	Nodes       int     `json:"nodes,omitempty"`
+	FieldW      float64 `json:"field_w,omitempty"`
+	FieldH      float64 `json:"field_h,omitempty"`
+	Connections int     `json:"connections,omitempty"`
+	DurationSec float64 `json:"duration_sec,omitempty"`
+	Seed        *int64  `json:"seed,omitempty"`
+
+	// Set holds the other base keys.
+	Set scenario.Fields `json:"-"`
+
+	Reps int `json:"reps,omitempty"`
 	// TimeoutSec bounds each cell's execution, like JobRequest.TimeoutSec
 	// bounds a job; it is outside every cache key.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
+}
+
+// sweepKeys are a sweep body's keys outside the base configuration.
+var sweepKeys = []string{"schemes", "rates", "pauses_sec", "fault_presets", "gossip_fanouts",
+	"channels", "mobilities", "policies", "tx_powers_dbm", "axes", "reps", "timeout_sec"}
+
+// sweepFields is SweepRequest without its JSON methods.
+type sweepFields SweepRequest
+
+// MarshalJSON writes the sweep body: the fields that are set, then Set.
+func (sr SweepRequest) MarshalJSON() ([]byte, error) {
+	body, err := joinBody(sweepFields(sr), sr.Set)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(body)
+}
+
+// UnmarshalJSON decodes a sweep body, rejecting unknown keys.
+func (sr *SweepRequest) UnmarshalJSON(b []byte) error {
+	var typed sweepFields
+	rest, err := splitBody(b, &typed, sweepKeys...)
+	if err == nil {
+		err = rest.Check()
+	}
+	if err != nil {
+		return err
+	}
+	*sr = SweepRequest(typed)
+	sr.Set = rest
+	return nil
 }
 
 // ParseSweepRequest decodes a sweep submission strictly: unknown fields
 // and trailing garbage are errors.
 func ParseSweepRequest(r io.Reader) (SweepRequest, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return req, fmt.Errorf("serve: bad sweep request: %w", err)
-	}
-	if dec.More() {
-		return req, fmt.Errorf("serve: bad sweep request: trailing data after JSON object")
 	}
 	return req, nil
 }
 
-// SweepCell is one expanded cell of a sweep: the paper-facing request the
-// fleet dispatches, the resolved config the local path runs, and the
+// SweepCell is one expanded cell of a sweep: the job request the fleet
+// dispatches, the resolved config the local path runs, and the
 // content-address both share with the plain jobs API.
 type SweepCell struct {
 	Index int
@@ -87,101 +113,92 @@ type SweepCell struct {
 	reps int
 }
 
-// grid maps the request's axis fields onto scenario.Grid.
-func (sr SweepRequest) grid() (scenario.Grid, error) {
-	var g scenario.Grid
-	if len(sr.Schemes) == 0 {
-		return g, fmt.Errorf("serve: sweep has no schemes axis")
-	}
-	for _, name := range sr.Schemes {
-		sch, err := scenario.ParseScheme(name)
-		if err != nil {
-			return g, err
+// sweepAxis is one expanded axis: a field-table key and its values.
+type sweepAxis struct {
+	key    string
+	values []any
+}
+
+// axes returns the non-empty axes in expansion order.
+func (sr SweepRequest) axes() ([]sweepAxis, error) {
+	all := make(map[string][]any, len(sr.Axes))
+	maps.Copy(all, sr.Axes)
+	var order []string
+	for _, a := range []sweepAxis{
+		{"scheme", anySlice(sr.Schemes)}, {"packet_rate", anySlice(sr.Rates)},
+		{"pause_sec", anySlice(sr.PausesSec)}, {"fault_preset", anySlice(sr.FaultPresets)},
+		{"gossip_fanout", anySlice(sr.GossipFanouts)}, {"channel", anySlice(sr.Channels)},
+		{"mobility", anySlice(sr.Mobilities)}, {"policy", anySlice(sr.Policies)},
+		{"tx_power_dbm", anySlice(sr.TxPowersDBm)},
+	} {
+		if len(a.values) > 0 {
+			if len(all[a.key]) > 0 {
+				return nil, fmt.Errorf("serve: sweep axis %q given twice", a.key)
+			}
+			all[a.key] = a.values
 		}
-		g.Schemes = append(g.Schemes, sch)
+		order = append(order, a.key)
 	}
-	g.Rates = sr.Rates
-	g.PausesSec = sr.PausesSec
-	g.FaultPresets = sr.FaultPresets
-	g.GossipFanouts = sr.GossipFanouts
-	g.Channels = sr.Channels
-	g.Mobilities = sr.Mobilities
-	g.Policies = sr.Policies
-	g.TxPowersDBm = sr.TxPowersDBm
-	return g, nil
+	var axes []sweepAxis
+	for _, k := range append(order, scenario.FieldKeys()...) {
+		if v := all[k]; len(v) > 0 {
+			axes = append(axes, sweepAxis{k, v})
+		}
+		delete(all, k)
+	}
+	for k := range all {
+		return nil, fmt.Errorf("serve: unknown sweep axis %q", k)
+	}
+	return axes, nil
 }
 
-// baseJobRequest returns the cell-independent part of each cell's job.
-func (sr SweepRequest) baseJobRequest() JobRequest {
-	return JobRequest{
-		Routing:       sr.Routing,
-		Nodes:         sr.Nodes,
-		FieldW:        sr.FieldW,
-		FieldH:        sr.FieldH,
-		RangeM:        sr.RangeM,
-		Connections:   sr.Connections,
-		PacketBytes:   sr.PacketBytes,
-		DurationSec:   sr.DurationSec,
-		Static:        sr.Static,
-		MinSpeed:      sr.MinSpeed,
-		MaxSpeed:      sr.MaxSpeed,
-		Seed:          sr.Seed,
-		Reps:          sr.Reps,
-		BatteryJoules: sr.BatteryJoules,
-		Audit:         sr.Audit,
-		ShadowSigmaDB: sr.ShadowSigmaDB,
-		GroupSize:     sr.GroupSize,
-		GroupRadiusM:  sr.GroupRadiusM,
-		TimeoutSec:    sr.TimeoutSec,
+func anySlice[T any](s []T) []any {
+	out := make([]any, len(s))
+	for i, v := range s {
+		out[i] = v
 	}
+	return out
 }
 
-// Cells expands the sweep into its cells in canonical grid order, each
-// validated and keyed by scenario.CanonicalKey — the same content address
-// the jobs API and result cache use.
+// Cells expands the sweep into its cells, each validated and keyed by
+// scenario.CanonicalKey — the same content address the jobs API and
+// result cache use.
 func (sr SweepRequest) Cells() ([]SweepCell, error) {
-	g, err := sr.grid()
+	axes, err := sr.axes()
 	if err != nil {
 		return nil, err
 	}
-	pts, err := g.Points()
+	base, err := joinBody(sweepFields(sr), sr.Set)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]SweepCell, 0, len(pts))
-	for i, pt := range pts {
-		req := sr.baseJobRequest()
-		req.Scheme = pt.Scheme.String()
-		if pt.HasRate {
-			req.PacketRate = pt.Rate
-		}
-		if pt.HasPause {
-			if pt.Static() {
-				req.Static = true
-				req.PauseSec = nil
-			} else {
-				req.Static = false
-				req.PauseSec = ptrOf(pt.PauseSec)
+	for _, k := range sweepKeys {
+		delete(base, k)
+	}
+	n := 1
+	for _, a := range axes {
+		n *= len(a.values)
+	}
+	cells := make([]SweepCell, 0, n)
+	for i := 0; i < n; i++ {
+		cell := maps.Clone(base)
+		for j, rem := len(axes)-1, i; j >= 0; j-- {
+			a := axes[j]
+			cell[a.key] = a.values[rem%len(a.values)]
+			rem /= len(a.values)
+			if a.key == "pause_sec" || a.key == "pause_us" {
+				delete(cell, "static")
 			}
 		}
-		if pt.HasFault {
-			req.FaultPreset = pt.FaultPreset
+		body, err := json.Marshal(cell)
+		if err != nil {
+			return nil, fmt.Errorf("serve: sweep cell %d: %w", i, err)
 		}
-		if pt.HasGossip {
-			req.GossipFanout = pt.GossipFanout
+		req := JobRequest{}
+		if err := req.UnmarshalJSON(body); err != nil {
+			return nil, fmt.Errorf("serve: sweep cell %d: %w", i, err)
 		}
-		if pt.HasChannel {
-			req.Channel = pt.Channel
-		}
-		if pt.HasMobility {
-			req.Mobility = pt.Mobility
-		}
-		if pt.HasPolicy {
-			req.Policy = pt.Policy
-		}
-		if pt.HasTxPower {
-			req.TxPowerDBm = pt.TxPowerDBm
-		}
+		req.Reps, req.TimeoutSec = sr.Reps, sr.TimeoutSec
 		cfg, reps, err := req.Config()
 		if err != nil {
 			return nil, fmt.Errorf("serve: sweep cell %d: %w", i, err)
@@ -194,8 +211,6 @@ func (sr SweepRequest) Cells() ([]SweepCell, error) {
 	}
 	return cells, nil
 }
-
-func ptrOf[T any](v T) *T { return &v }
 
 // SweepKey content-addresses a whole sweep: the hex SHA-256 over the
 // canonical version stamp and every cell key in expansion order. Two

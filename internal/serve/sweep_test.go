@@ -83,8 +83,8 @@ func TestSweepCellsExpansion(t *testing.T) {
 	if cells[0].Req.Scheme != "802.11" || cells[2].Req.Scheme != "Rcast" {
 		t.Fatalf("scheme order: %s, %s", cells[0].Req.Scheme, cells[2].Req.Scheme)
 	}
-	if cells[1].Req.Static != true || cells[0].Req.Static != false {
-		t.Fatalf("pause axis: cell0 static=%v cell1 static=%v", cells[0].Req.Static, cells[1].Req.Static)
+	if *cells[1].Req.PauseSec >= 0 || cells[1].cfg.Pause != cells[1].cfg.Duration || *cells[0].Req.PauseSec != 0 || cells[0].cfg.Pause != 0 {
+		t.Fatalf("pause axis: cell0 pause=%v cell1 pause=%v (static = duration %v)", cells[0].cfg.Pause, cells[1].cfg.Pause, cells[1].cfg.Duration)
 	}
 	// The sweep key is deterministic and distinct from any cell key.
 	k1, k2 := SweepKey(cells), SweepKey(cells)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
 # over the MAC, route-cache, scheduler-wheel, trace-reader,
-# propagation-grid and fading-verdict targets, the coverage gate, the
-# calibrated perf-smoke gate, a benchmark smoke run, a tracediff smoke
+# propagation-grid, fading-verdict and config-decoder targets, the
+# coverage gate, the calibrated perf-smoke gate, a benchmark smoke run, a tracediff smoke
 # (audit inert / seeds diverge), the golden-trace corpus gate (every
 # committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
@@ -33,6 +33,7 @@ go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
 go test -run '^$' -fuzz 'FuzzFadingVerdict' -fuzztime 10s ./internal/propagation
+go test -run '^$' -fuzz 'FuzzDecodeConfig' -fuzztime 10s ./internal/scenario
 
 echo "== coverage gate =="
 go run ./tools/covergate

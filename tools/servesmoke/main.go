@@ -6,7 +6,8 @@
 // CLI tools use, prove a resubmission is a cache hit that executes
 // nothing, force a queue-full 429, check /healthz and /metrics, and
 // finally SIGTERM the daemon and assert a graceful drain (503 intake,
-// admitted work finishing, clean exit).
+// admitted work finishing, clean exit), and require that a SIGTERM sent
+// right after the first healthy probe also drains to exit status 0.
 //
 // Usage:
 //
@@ -61,6 +62,30 @@ func run() error {
 	if err := backpressureDrainPhase(bin); err != nil {
 		return fmt.Errorf("backpressure/drain phase: %w", err)
 	}
+	if err := earlySigtermPhase(bin); err != nil {
+		return fmt.Errorf("early SIGTERM phase: %w", err)
+	}
+	return nil
+}
+
+// earlySigtermPhase: a SIGTERM sent the moment /healthz first answers 200
+// must drain the idle daemon to exit status 0, not kill it. Repeated, as
+// the window it guards is a scheduling race.
+func earlySigtermPhase(bin string) error {
+	for i := 0; i < 3; i++ {
+		d, err := startDaemon(bin)
+		if err != nil {
+			return err
+		}
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			d.kill()
+			return err
+		}
+		if err := d.cmd.Wait(); err != nil {
+			return fmt.Errorf("daemon signaled right after its first healthy probe exited: %w", err)
+		}
+	}
+	fmt.Println("servesmoke: early SIGTERM ok, daemon drained and exited 0")
 	return nil
 }
 
