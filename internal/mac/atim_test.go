@@ -160,3 +160,20 @@ func TestReliableModeIgnoresATIMOutcome(t *testing.T) {
 		t.Fatal("reliable-mode delivery broken by ATIMOutcome no-op")
 	}
 }
+
+func TestATIMReachUsesSenderTxPower(t *testing.T) {
+	// The sender transmits the ATIM, so its transmit range decides who
+	// decodes it: a high-power sender's announcement reaches a receiver
+	// beyond the receiver's own reach, and the receiver stays awake for
+	// the frame.
+	r := newRig(t, 2, 400) // beyond the nominal 250 m
+	r.radios[0].SetTxRangeScale(2)
+	m := r.psm(0, core.Rcast{})
+	r.psm(1, core.Rcast{})
+	m.Send(Packet{Dst: phy.Broadcast, Class: core.ClassRREQ, Bytes: 64})
+	r.run(2 * sim.Second)
+	if len(r.recs[1].received) != 1 {
+		t.Fatalf("receiver beyond its own reach got %d broadcasts from a 2x-range sender, want 1",
+			len(r.recs[1].received))
+	}
+}

@@ -172,7 +172,7 @@ func (c *Coordinator) atimEnd() {
 			if t.sender == ri {
 				continue
 			}
-			if c.ch.InRange(rr, c.stations[t.sender].Radio(), at) {
+			if c.ch.InRange(c.stations[t.sender].Radio(), rr, at) {
 				receivable = append(receivable, gi)
 			}
 		}

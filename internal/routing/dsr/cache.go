@@ -15,7 +15,10 @@ type Cache struct {
 	capacity int
 	lifetime sim.Time // 0 disables timeouts
 	entries  []cacheEntry
-	free     [][]phy.NodeID // recycled path buffers (only while no callbacks are installed)
+	// keys[i] is hopKey(entries[i].path), kept in lockstep with entries
+	// through every append, eviction, truncation and removal: Add's
+	// prefix scan filters on this dense column before touching a path.
+	keys     []uint64
 	insertCB func(path []phy.NodeID)
 	evictCB  func(path []phy.NodeID)
 
@@ -27,8 +30,20 @@ type Cache struct {
 
 type cacheEntry struct {
 	path    []phy.NodeID // path[0] == owner
-	nbr     phy.NodeID   // == path[1], the first hop; cheap discriminator for prefix scans
 	addedAt sim.Time
+}
+
+// hopKey packs a path's first two hops, path[1] and path[2], into one
+// word: path[1] in the high half, path[2] (all ones for a one-hop path) in
+// the low half. Equal hops give equal halves, so a key mismatch proves one
+// path is not a prefix of another; a match proves nothing, and isPrefix
+// decides.
+func hopKey(path []phy.NodeID) uint64 {
+	low := uint64(0xffffffff)
+	if len(path) > 2 {
+		low = uint64(uint32(path[2]))
+	}
+	return uint64(uint32(path[1]))<<32 | low
 }
 
 // NewCache creates a cache for owner. capacity <= 0 selects the default
@@ -56,13 +71,7 @@ func (c *Cache) Len() int { return len(c.entries) }
 // Clear drops every cached route (node crash: a recovered node restarts
 // with amnesia). Lifetime statistics survive; the insert callback stays
 // installed.
-func (c *Cache) Clear() {
-	for i := range c.entries {
-		c.recycle(c.entries[i].path)
-		c.entries[i] = cacheEntry{}
-	}
-	c.entries = c.entries[:0]
-}
+func (c *Cache) Clear() { c.truncate(0) }
 
 // Stats returns (inserts, evictions, hits, misses).
 func (c *Cache) Stats() (inserts, evictions, hits, misses uint64) {
@@ -78,21 +87,25 @@ func (c *Cache) Add(now sim.Time, path []phy.NodeID) bool {
 		return false
 	}
 	c.expire(now)
-	nbr := path[1]
-	for _, e := range c.entries {
-		if e.nbr == nbr && isPrefix(path, e.path) {
+	// A one-hop path is a prefix of any route through the same neighbor,
+	// so only the high half of its key must match. The scan runs newest
+	// first: overheard routes repeat recent traffic, so a covering entry
+	// tends to sit near the tail, and the order cannot change whether one
+	// exists.
+	key, mask := hopKey(path), ^uint64(0)
+	if len(path) == 2 {
+		mask <<= 32
+	}
+	keys := c.keys
+	for i := len(keys) - 1; i >= 0; i-- {
+		if (keys[i]^key)&mask == 0 && isPrefix(path, c.entries[i].path) {
 			return false
 		}
 	}
-	var cp []phy.NodeID
-	if n := len(c.free); n > 0 && cap(c.free[n-1]) >= len(path) {
-		cp = c.free[n-1][:len(path)]
-		c.free = c.free[:n-1]
-	} else {
-		cp = make([]phy.NodeID, len(path))
-	}
+	cp := make([]phy.NodeID, len(path))
 	copy(cp, path)
-	c.entries = append(c.entries, cacheEntry{path: cp, nbr: nbr, addedAt: now})
+	c.entries = append(c.entries, cacheEntry{path: cp, addedAt: now})
+	c.keys = append(c.keys, key)
 	c.inserts++
 	if c.insertCB != nil {
 		c.insertCB(cp)
@@ -100,23 +113,13 @@ func (c *Cache) Add(now sim.Time, path []phy.NodeID) bool {
 	for len(c.entries) > c.capacity {
 		evicted := c.entries[0].path
 		c.entries = c.entries[1:]
+		c.keys = c.keys[1:]
 		c.evictions++
 		if c.evictCB != nil {
 			c.evictCB(evicted)
 		}
-		c.recycle(evicted)
 	}
 	return true
-}
-
-// recycle returns a dropped path buffer to the freelist for reuse by a
-// future insertion. Recycling is disabled while any callback is installed:
-// callbacks receive the live path slice and may retain it (lifecycle
-// tracing does), so reusing its backing array would corrupt their view.
-func (c *Cache) recycle(path []phy.NodeID) {
-	if c.insertCB == nil && c.evictCB == nil && len(c.free) < 64 {
-		c.free = append(c.free, path[:0])
-	}
 }
 
 // Find returns the shortest cached route from the owner to dst (inclusive
@@ -161,7 +164,7 @@ func (c *Cache) HasRouteTo(now sim.Time, dst phy.NodeID) bool {
 // nodes are dropped. Returns the number of affected routes.
 func (c *Cache) RemoveLink(a, b phy.NodeID) int {
 	affected := 0
-	kept := c.entries[:0]
+	n := 0
 	for _, e := range c.entries {
 		cut := len(e.path)
 		for i := 0; i+1 < len(e.path); i++ {
@@ -171,23 +174,18 @@ func (c *Cache) RemoveLink(a, b phy.NodeID) int {
 				break
 			}
 		}
-		if cut == len(e.path) {
-			kept = append(kept, e)
-			continue
-		}
-		affected++
-		if cut >= 2 {
+		if cut < len(e.path) {
+			affected++
+			if cut < 2 {
+				continue
+			}
 			e.path = e.path[:cut]
-			kept = append(kept, e)
-		} else {
-			c.recycle(e.path)
 		}
+		c.entries[n] = e
+		c.keys[n] = hopKey(e.path)
+		n++
 	}
-	// Zero the tail so dropped entries are collectable.
-	for i := len(kept); i < len(c.entries); i++ {
-		c.entries[i] = cacheEntry{}
-	}
-	c.entries = kept
+	c.truncate(n)
 	return affected
 }
 
@@ -214,18 +212,23 @@ func (c *Cache) expire(now sim.Time) {
 	if now-c.entries[0].addedAt <= c.lifetime {
 		return
 	}
-	kept := c.entries[:0]
-	for _, e := range c.entries {
+	n := 0
+	for i, e := range c.entries {
 		if now-e.addedAt <= c.lifetime {
-			kept = append(kept, e)
-		} else {
-			c.recycle(e.path)
+			c.entries[n] = e
+			c.keys[n] = c.keys[i]
+			n++
 		}
 	}
-	for i := len(kept); i < len(c.entries); i++ {
-		c.entries[i] = cacheEntry{}
-	}
-	c.entries = kept
+	c.truncate(n)
+}
+
+// truncate keeps the first n entries and their keys, zeroing the dropped
+// entries so their paths are collectable.
+func (c *Cache) truncate(n int) {
+	clear(c.entries[n:])
+	c.entries = c.entries[:n]
+	c.keys = c.keys[:n]
 }
 
 // isPrefix reports whether p is a prefix of q.

@@ -10,7 +10,10 @@ import (
 )
 
 // TestCacheInvariantsProperty drives the cache with random operation
-// sequences and checks structural invariants after every step:
+// sequences, in lockstep with the reference cache (cache_ref_test.go) under
+// a random lifetime and with callbacks installed, and requires the two to
+// agree on every observable after every step. It also checks structural
+// invariants after every step:
 //
 //   - every cached route starts at the owner and has length >= 2;
 //   - no route contains a repeated node;
@@ -19,22 +22,24 @@ import (
 //   - Find returns a route ending at the requested destination.
 func TestCacheInvariantsProperty(t *testing.T) {
 	const owner = phy.NodeID(0)
-	prop := func(seed int64, capacity uint8) bool {
+	prop := func(seed int64, capacity, life uint8) bool {
 		capN := int(capacity%16) + 2
-		c := NewCache(owner, capN, 0)
+		// 0 disables timeouts; 1–7 s expire entries, as steps are 1 s apart.
+		p := newCachePair(t, owner, capN, sim.Time(life%8)*sim.Second, 9)
+		c := p.got
 		rng := rand.New(rand.NewSource(seed)) //nolint:gosec // test randomness
 		for step := 0; step < 200; step++ {
 			now := sim.Time(step) * sim.Second
 			switch rng.Intn(4) {
 			case 0, 1: // add a random (possibly invalid) route
 				n := rng.Intn(6) + 1
-				p := []phy.NodeID{owner}
+				path := []phy.NodeID{owner}
 				for i := 0; i < n; i++ {
-					p = append(p, phy.NodeID(rng.Intn(10)))
+					path = append(path, phy.NodeID(rng.Intn(10)))
 				}
-				c.Add(now, p)
+				p.add(now, path)
 			case 2: // remove a random link
-				c.RemoveLink(phy.NodeID(rng.Intn(10)), phy.NodeID(rng.Intn(10)))
+				p.removeLink(phy.NodeID(rng.Intn(10)), phy.NodeID(rng.Intn(10)))
 			case 3: // lookup
 				dst := phy.NodeID(rng.Intn(10))
 				if r := c.Find(now, dst); r != nil {
@@ -42,9 +47,11 @@ func TestCacheInvariantsProperty(t *testing.T) {
 						return false
 					}
 				}
+				p.want.Find(now, dst)
 			}
+			p.check(now)
 			// Invariants.
-			routes := c.Routes(sim.Time(step) * sim.Second)
+			routes := c.Routes(now)
 			if len(routes) > capN {
 				return false
 			}

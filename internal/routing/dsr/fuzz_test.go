@@ -30,9 +30,11 @@ func cacheInvariants(t *testing.T, c *Cache, owner phy.NodeID, capacity int, now
 
 // FuzzCacheOperations feeds the DSR route cache an arbitrary mutation
 // stream — insertions (valid and deliberately malformed), link removals,
-// lookups, time advances, expiry and crash-clears — and checks the cache's
-// structural invariants after every operation. Lookups additionally verify
-// that any returned route is well-formed and actually ends at the queried
+// lookups, time advances, expiry and crash-clears — in lockstep with the
+// reference cache (cache_ref_test.go), both with callbacks installed. After
+// every operation the two must agree on every observable and the cache's
+// structural invariants must hold. Lookups additionally verify that any
+// returned route is well-formed and actually ends at the queried
 // destination; stats counters must never run backwards.
 func FuzzCacheOperations(f *testing.F) {
 	f.Add([]byte{0x00, 0x03, 0x01, 0x02, 0x03, 0x02, 0x03, 0x03, 0x01, 0x02})
@@ -56,7 +58,8 @@ func FuzzCacheOperations(f *testing.F) {
 		// First byte picks the lifetime: 0 disables timeouts, anything else
 		// expires entries after that many milliseconds.
 		lifetime := sim.Time(next()) * sim.Millisecond
-		c := NewCache(owner, capacity, lifetime)
+		p := newCachePair(t, owner, capacity, lifetime, 15)
+		c := p.got
 		var now sim.Time
 		var prevInserts, prevEvictions, prevHits, prevMisses uint64
 		for pc < len(data) {
@@ -72,11 +75,11 @@ func FuzzCacheOperations(f *testing.F) {
 				if len(path) > 1 && path[1] == owner {
 					path = path[1:]
 				}
-				c.Add(now, path)
+				p.add(now, path)
 			case 1: // invalidate a link
 				a := phy.NodeID(next() % 16)
 				b := phy.NodeID(next() % 16)
-				c.RemoveLink(a, b)
+				p.removeLink(a, b)
 			case 2: // shortest-route lookup
 				dst := phy.NodeID(next() % 16)
 				if route := c.Find(now, dst); route != nil {
@@ -90,16 +93,21 @@ func FuzzCacheOperations(f *testing.F) {
 						t.Fatalf("Find(%d) succeeded but HasRouteTo denies it", dst)
 					}
 				}
+				p.want.Find(now, dst)
 			case 3: // advance time (drives expiry)
 				now += sim.Time(int(next())+1) * sim.Millisecond
 			case 4: // crash-clear (recovered nodes restart with amnesia)
-				c.Clear()
+				p.clear()
 				if c.Len() != 0 {
 					t.Fatalf("Clear left %d routes behind", c.Len())
 				}
 			case 5: // read-only probe
-				c.HasRouteTo(now, phy.NodeID(next()%16))
+				dst := phy.NodeID(next() % 16)
+				if got, want := c.HasRouteTo(now, dst), p.want.HasRouteTo(now, dst); got != want {
+					t.Fatalf("HasRouteTo(%d) = %v, reference %v", dst, got, want)
+				}
 			}
+			p.check(now)
 			cacheInvariants(t, c, owner, capacity, now)
 			inserts, evictions, hits, misses := c.Stats()
 			if inserts < prevInserts || evictions < prevEvictions ||

@@ -142,11 +142,15 @@ func indexOf(path []phy.NodeID, id phy.NodeID) int {
 
 // reversed returns a new slice with path in reverse order.
 func reversed(path []phy.NodeID) []phy.NodeID {
-	out := make([]phy.NodeID, len(path))
-	for i, n := range path {
-		out[len(path)-1-i] = n
+	return appendReversed(make([]phy.NodeID, 0, len(path)), path)
+}
+
+// appendReversed appends path to dst in reverse order.
+func appendReversed(dst, path []phy.NodeID) []phy.NodeID {
+	for i := len(path) - 1; i >= 0; i-- {
+		dst = append(dst, path[i])
 	}
-	return out
+	return dst
 }
 
 // appendHop returns a new slice path+[id] (never aliasing path's array
@@ -158,14 +162,13 @@ func appendHop(path []phy.NodeID, id phy.NodeID) []phy.NodeID {
 	return out
 }
 
-// hasDuplicates reports whether any node appears twice in path.
+// hasDuplicates reports whether any node appears twice in path. Routes
+// are a handful of hops, so the quadratic scan beats building a set.
 func hasDuplicates(path []phy.NodeID) bool {
-	seen := make(map[phy.NodeID]struct{}, len(path))
-	for _, n := range path {
-		if _, ok := seen[n]; ok {
+	for i := 1; i < len(path); i++ {
+		if indexOf(path[:i], path[i]) >= 0 {
 			return true
 		}
-		seen[n] = struct{}{}
 	}
 	return false
 }

@@ -149,7 +149,7 @@ type Router struct {
 	nextRREQID uint64
 	nextSeq    uint64
 
-	learnScratch []phy.NodeID // reused candidate-path buffer for learnFromTransmitter
+	pathScratch []phy.NodeID // reused candidate-path buffer for the paths the router learns
 
 	down bool // fault-injected crash: reversible via Restart
 
@@ -554,8 +554,10 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 		return // our own flood, or a loop
 	}
 	now := r.sched.Now()
-	// Learn the reverse route back to the origin.
-	back := append([]phy.NodeID{r.id}, reversed(req.Recorded)...)
+	// Learn the reverse route back to the origin (built in scratch: the
+	// cache copies on accept).
+	back := appendReversed(append(r.pathScratch[:0], r.id), req.Recorded)
+	r.pathScratch = back[:0]
 	r.cache.Add(now, back)
 
 	key := rreqKey{origin: req.Origin, id: req.ID}
@@ -674,18 +676,15 @@ func (r *Router) learnFromTransmitter(now sim.Time, from phy.NodeID, route []phy
 	// on accept (and rejects looped paths itself), so they never escape.
 	// Forward: self → from → route[i+1:].
 	if i+1 < len(route) {
-		fwd := append(r.learnScratch[:0], r.id, from)
+		fwd := append(r.pathScratch[:0], r.id, from)
 		fwd = append(fwd, route[i+1:]...)
-		r.learnScratch = fwd[:0]
+		r.pathScratch = fwd[:0]
 		r.cache.Add(now, fwd)
 	}
 	// Backward: self → from → route[i-1], …, route[0].
 	if i > 0 {
-		back := append(r.learnScratch[:0], r.id, from)
-		for j := i - 1; j >= 0; j-- {
-			back = append(back, route[j])
-		}
-		r.learnScratch = back[:0]
+		back := appendReversed(append(r.pathScratch[:0], r.id, from), route[:i])
+		r.pathScratch = back[:0]
 		r.cache.Add(now, back)
 	}
 }

@@ -174,3 +174,36 @@ func TestRcastClassMapping(t *testing.T) {
 		}
 	}
 }
+
+func TestCrashFlushesBufferAndClearsCache(t *testing.T) {
+	// A crash hands back the buffered packets and forgets every route; the
+	// router originates nothing while down and relearns after Restart.
+	n := newFakeNet(t)
+	rs := n.line(3, DefaultConfig())
+	rs[0].SendData(2, 1, 256)
+	n.run(10 * sim.Second)
+	if len(n.delivered) != 1 || rs[0].Cache().Len() == 0 {
+		t.Fatalf("before the crash: delivered %d, %d cached routes", len(n.delivered), rs[0].Cache().Len())
+	}
+	rs[0].SendData(7, 1, 256) // unreachable: parked behind a discovery
+	if got := rs[0].BufferedData(); len(got) != 1 || got[0].Dst != 7 {
+		t.Fatalf("buffered %v, want the packet for 7", got)
+	}
+	if flushed := rs[0].Crash(); len(flushed) != 1 || flushed[0].Dst != 7 {
+		t.Fatalf("Crash flushed %v, want the packet for 7", flushed)
+	}
+	if rs[0].Cache().Len() != 0 || len(rs[0].BufferedData()) != 0 || rs[0].Crash() != nil {
+		t.Fatal("crashed router kept state or crashed twice")
+	}
+	rs[0].SendData(2, 1, 256)
+	n.run(20 * sim.Second)
+	if len(n.delivered) != 1 {
+		t.Fatalf("a crashed router originated traffic: delivered %d", len(n.delivered))
+	}
+	rs[0].Restart()
+	rs[0].SendData(2, 1, 256)
+	n.run(40 * sim.Second)
+	if len(n.delivered) != 2 {
+		t.Fatalf("after Restart: delivered %d, want 2", len(n.delivered))
+	}
+}

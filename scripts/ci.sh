@@ -2,7 +2,8 @@
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
 # over the MAC, route-cache, scheduler-wheel, trace-reader,
 # propagation-grid, fading-verdict and config-decoder targets, the
-# coverage gate, the calibrated perf-smoke gate, a benchmark smoke run, a tracediff smoke
+# coverage gate, the calibrated perf-smoke gate (a 3-node and a 100-node
+# route-learning cell), a benchmark smoke run, a tracediff smoke
 # (audit inert / seeds diverge), the golden-trace corpus gate (every
 # committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
@@ -39,13 +40,16 @@ echo "== coverage gate =="
 go run ./tools/covergate
 
 echo "== perf smoke =="
-# Calibrated 3-node-cell gate: fails on >30% event-kernel slowdown
-# relative to tools/perfsmoke/baseline.json (see that tool for how the
-# score is normalized across machines).
+# Calibrated gate over two cells, each scored on its own: a 3-node cell
+# for the event kernel and a 100-node always-on cell for DSR route
+# learning. Fails on a >30% slowdown of either relative to
+# tools/perfsmoke/baseline.json (see that tool for how the score is
+# normalized across machines).
 go run ./tools/perfsmoke
 
 echo "== bench smoke =="
 go test -run '^$' -bench 'BenchmarkFullRunRcast$|BenchmarkChannelTransmit' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkCacheAdd$|BenchmarkLearnFromTransmitter$' -benchtime 1x ./internal/routing/dsr
 
 echo "== tracediff smoke =="
 # The audit must be observation-only: trace A (plain) against B (audited)
