@@ -76,9 +76,13 @@ type Coordinator struct {
 	nextBeacon sim.Time
 	heard      [][]Announcement // per-receiver decoded announcements
 	admitted   [][]Announcement // per-sender admitted announcements
-	recvIdx    []int            // scratch: receivable announcement indices
+	recvIdx    [][]int          // scratch: per-receiver receivable announcement indices
 	keptIdx    []int            // scratch: receivable indices surviving slot collisions
 	slotCount  []int            // scratch: per-slot reception counts
+
+	stationOf []int            // station index by radio NodeID, -1 for none
+	reachAnn  int              // announcement whose sender reach is being walked
+	reachFn   func(phy.NodeID) // prebound: marks reachAnn receivable at a radio
 }
 
 // NewCoordinator creates a beacon coordinator over the given channel.
@@ -104,12 +108,27 @@ func NewCoordinator(sched *sim.Scheduler, ch *phy.Channel, p Params, rng *rand.R
 	}
 	c.beaconFn = c.beacon
 	c.atimEndFn = c.atimEnd
+	c.reachFn = func(id phy.NodeID) {
+		if uint(id) < uint(len(c.stationOf)) {
+			if ri := c.stationOf[id]; ri >= 0 {
+				c.recvIdx[ri] = append(c.recvIdx[ri], c.reachAnn)
+			}
+		}
+	}
 	return c
 }
 
 // AddStation registers a PSM station. All stations must be registered
-// before Start.
-func (c *Coordinator) AddStation(s Station) { c.stations = append(c.stations, s) }
+// before Start, each on its own radio with a non-negative ID.
+func (c *Coordinator) AddStation(s Station) {
+	id := int(s.Radio().ID())
+	for len(c.stationOf) <= id {
+		c.stationOf = append(c.stationOf, -1)
+	}
+	c.stationOf[id] = len(c.stations)
+	c.stations = append(c.stations, s)
+	c.recvIdx = append(c.recvIdx, nil)
+}
 
 // Beacons returns how many beacon boundaries have fired.
 func (c *Coordinator) Beacons() uint64 { return c.beacons }
@@ -162,21 +181,20 @@ func (c *Coordinator) atimEnd() {
 		c.heard = make([][]Announcement, len(c.stations))
 	}
 	c.heard = c.heard[:len(c.stations)]
+	// Who decodes each announcement: its sender's reach, walked once per
+	// announcement in announcement order, so every receiver's list stays
+	// in announcement order.
+	for ri := range c.recvIdx {
+		c.recvIdx[ri] = c.recvIdx[ri][:0]
+	}
+	for gi := range c.anns {
+		c.reachAnn = gi
+		c.ch.VisitNeighbors(c.stations[c.anns[gi].sender].Radio(), at, c.reachFn)
+	}
 	for ri, r := range c.stations {
 		c.heard[ri] = c.heard[ri][:0]
 		rr := r.Radio()
-		// Indices of announcements receivable at r (sender in range).
-		receivable := c.recvIdx[:0]
-		for gi := range c.anns {
-			t := &c.anns[gi]
-			if t.sender == ri {
-				continue
-			}
-			if c.ch.InRange(c.stations[t.sender].Radio(), rr, at) {
-				receivable = append(receivable, gi)
-			}
-		}
-		c.recvIdx = receivable[:0] // retain grown capacity for the next receiver
+		receivable := c.recvIdx[ri]
 		if c.p.ATIMContention {
 			// Same-slot announcements collide at this receiver. The counts
 			// are zeroed again below (only the touched slots), so slotCount

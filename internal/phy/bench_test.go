@@ -12,11 +12,13 @@ type sink struct{ n int }
 
 func (s *sink) OnFrame(Frame) { s.n++ }
 
-// benchCell builds a single-cell topology: n radios within mutual range, so
-// every transmission fans out to n-1 receivers through one batched event.
+// benchCell builds a single-cell topology: n static radios within mutual
+// range, so every transmission fans out to n-1 receivers through one
+// batched event. The motion bound is declared, as the simulator does.
 func benchCell(n int) (*sim.Scheduler, *Channel, []*Radio) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, 250)
+	ch.SetMotionBound(0)
 	radios := make([]*Radio, n)
 	for i := 0; i < n; i++ {
 		radios[i] = ch.AddRadio(NodeID(i), mobility.Static{P: geom.Point{X: float64(i)}})
@@ -25,13 +27,52 @@ func benchCell(n int) (*sim.Scheduler, *Channel, []*Radio) {
 	return sched, ch, radios
 }
 
+// benchField builds the paper's topology: 100 radios placed at random on a
+// 1500×300 m field with a 250 m range, static or moving by random waypoint
+// at up to 20 m/s with no pause, under the motion bound the simulator
+// would declare for it.
+func benchField(mobile bool) (*sim.Scheduler, *Channel, []*Radio) {
+	const n, maxSpeed = 100, 20.0
+	sched := sim.NewScheduler()
+	ch := NewChannel(sched, 250)
+	field := geom.Rect{W: 1500, H: 300}
+	rng := sim.Stream(1, "bench-field")
+	radios := make([]*Radio, n)
+	for i := range radios {
+		start := field.RandomPoint(rng)
+		var mob mobility.Model = mobility.Static{P: start}
+		if mobile {
+			mob = mobility.NewWaypoint(mobility.WaypointConfig{
+				Field:    field,
+				MinSpeed: 1,
+				MaxSpeed: maxSpeed,
+				Start:    start,
+			}, sim.Stream(int64(i), "bench-field"))
+		}
+		radios[i] = ch.AddRadio(NodeID(i), mob)
+		radios[i].SetReceiver(&sink{})
+	}
+	if mobile {
+		ch.SetMotionBound(maxSpeed)
+	} else {
+		ch.SetMotionBound(0)
+	}
+	return sched, ch, radios
+}
+
+// fieldCases are the static and mobile variants of benchField.
+var fieldCases = []struct {
+	name   string
+	mobile bool
+}{{"static", false}, {"mobile", true}}
+
 // BenchmarkTransmitBatchedDelivery measures one full broadcast delivery
 // cycle — Transmit, one batch event, per-receiver finishReception — with
 // the batch and delivery pools warm. Expected steady-state allocations: 0.
 func BenchmarkTransmitBatchedDelivery(b *testing.B) {
 	sched, ch, radios := benchCell(16)
 	f := Frame{From: 0, To: Broadcast, Bytes: 512}
-	// Warm the pools and the spatial index.
+	// Warm the pools and the reach lists.
 	ch.Transmit(radios[0], f, 2)
 	sched.Run()
 	b.ReportAllocs()
@@ -59,16 +100,71 @@ func BenchmarkTransmitFrameAlloc(b *testing.B) {
 	}
 }
 
+// BenchmarkTransmitField measures a full broadcast delivery cycle on the
+// 100-node paper field, static and mobile. Each frame ends before the next
+// starts, so the mobile case queries a new instant every time and pays
+// its share of list rebuilds.
+func BenchmarkTransmitField(b *testing.B) {
+	for _, tc := range fieldCases {
+		b.Run(tc.name, func(b *testing.B) {
+			sched, ch, radios := benchField(tc.mobile)
+			f := Frame{From: 0, To: Broadcast, Bytes: 512}
+			ch.Transmit(radios[0], f, 2)
+			sched.Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.Transmit(radios[i%len(radios)], f, 2)
+				sched.Run()
+			}
+		})
+	}
+}
+
 // BenchmarkVisitNeighbors measures the allocation-free neighbor visitation
-// used by the PSM churn estimator.
+// used by the PSM churn estimator and the ATIM reach, on one 64-radio cell
+// and on the 100-node paper field (queried every simulated millisecond).
 func BenchmarkVisitNeighbors(b *testing.B) {
-	_, ch, radios := benchCell(64)
-	count := 0
-	visit := func(NodeID) { count++ }
-	ch.VisitNeighbors(radios[0], 0, visit)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.VisitNeighbors(radios[i%64], 0, visit)
+	b.Run("cell", func(b *testing.B) {
+		_, ch, radios := benchCell(64)
+		count := 0
+		visit := func(NodeID) { count++ }
+		ch.VisitNeighbors(radios[0], 0, visit)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ch.VisitNeighbors(radios[i%64], 0, visit)
+		}
+	})
+	for _, tc := range fieldCases {
+		b.Run(tc.name, func(b *testing.B) {
+			_, ch, radios := benchField(tc.mobile)
+			count := 0
+			visit := func(NodeID) { count++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.VisitNeighbors(radios[i%len(radios)], sim.Time(i)*sim.Millisecond, visit)
+			}
+		})
+	}
+}
+
+// benchCount keeps BenchmarkCountNeighbors' result live.
+var benchCount int
+
+// BenchmarkCountNeighbors measures the lottery's neighbor count (P_R =
+// 1/neighbors) on the 100-node paper field, queried every simulated
+// millisecond.
+func BenchmarkCountNeighbors(b *testing.B) {
+	for _, tc := range fieldCases {
+		b.Run(tc.name, func(b *testing.B) {
+			_, ch, radios := benchField(tc.mobile)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchCount += ch.CountNeighbors(radios[i%len(radios)], sim.Time(i)*sim.Millisecond)
+			}
+		})
 	}
 }

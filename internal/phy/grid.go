@@ -8,19 +8,12 @@ import (
 	"rcast/internal/sim"
 )
 
-// grid is a uniform spatial index over radio positions. Cell edge length
-// equals the decode range R, so the radios decodable from a point always
-// live in a bounded neighbourhood of cells around it instead of requiring a
-// scan over every radio on the channel.
-//
-// Positions move continuously under mobility, so bins are allowed to go
-// stale: a radio's binned position may drift up to slack metres from its
-// true position before the grid re-bins. Queries compensate by scanning all
-// cells intersecting a disk of radius R+slack and exact-checking every
-// candidate, which keeps grid answers identical to the exhaustive scan.
-// With a declared motion bound v (m/s) the drift after t simulated seconds
-// is at most v*t, so one O(N) re-bin buys slack/v seconds of O(area)
-// queries.
+// grid is a uniform spatial index over radio positions at one instant,
+// used to build the reach lists (reach.go): the radios within some radius
+// of a point live in a bounded neighbourhood of cells around it, so a
+// build costs O(area) per radio instead of a scan over every radio. The
+// lists rebin the grid at their own build instant, so bins are never
+// stale.
 //
 // Cells are stored in CSR form over the bounding box of occupied cells:
 // cellStart[lin] .. cellStart[lin+1] delimits cell lin's radio indices in
@@ -34,8 +27,7 @@ import (
 const gridScanThreshold = 512
 
 type grid struct {
-	cell  float64 // cell edge length (= decode range), metres
-	slack float64 // tolerated bin drift before re-binning, metres
+	cell float64 // cell edge length, metres
 
 	n          int     // registered radios at last rebin
 	minX, minY int32   // cell coords of the bounding box origin
@@ -44,8 +36,6 @@ type grid struct {
 	cellIdx    []int32 // radio indices, ascending within each cell
 	keys       []gridKey
 	bits       []uint64 // scratch: candidate bitmap, one bit per radio
-	binTime    sim.Time
-	valid      bool
 }
 
 type gridKey struct{ cx, cy int32 }
@@ -57,29 +47,11 @@ func (g *grid) keyFor(p geom.Point) gridKey {
 	}
 }
 
-// stale reports whether bins built at binTime may have drifted more than
-// slack by instant now, given the channel's motion bound.
-func (g *grid) stale(now sim.Time, motionBound float64) bool {
-	if !g.valid {
-		return true
-	}
-	if motionBound <= 0 || now == g.binTime {
-		return false
-	}
-	dt := now - g.binTime
-	if dt < 0 {
-		dt = -dt
-	}
-	return dt.Seconds()*motionBound > g.slack
-}
-
 // rebin rebuilds every bin from radio positions at instant now. Radios are
 // visited in registration order, so each cell's index run is ascending.
 func (g *grid) rebin(radios []*Radio, now sim.Time) {
 	n := len(radios)
 	g.n = n
-	g.binTime = now
-	g.valid = true
 	if n == 0 {
 		g.w, g.h = 0, 0
 		return
@@ -142,9 +114,9 @@ func (g *grid) rebin(radios []*Radio, now sim.Time) {
 }
 
 // candidates appends to buf the indices of every radio whose bin intersects
-// the disk of the given radius (plus the drift slack) around p, and returns
-// buf sorted ascending. The result is a superset of the radios truly within
-// radius of p; callers exact-check distances, in registration order.
+// the disk of the given radius around p, and returns buf sorted ascending.
+// The result is a superset of the radios within radius of p; callers
+// check distances, in registration order.
 //
 // The union of the touched cells is produced through a bitmap with one bit
 // per registered radio: scatter every cell run's indices into the bitmap,
@@ -157,9 +129,8 @@ func (g *grid) candidates(p geom.Point, radius float64, buf []int32) []int32 {
 	if g.n == 0 {
 		return buf
 	}
-	reach := radius + g.slack
-	lo := g.keyFor(geom.Point{X: p.X - reach, Y: p.Y - reach})
-	hi := g.keyFor(geom.Point{X: p.X + reach, Y: p.Y + reach})
+	lo := g.keyFor(geom.Point{X: p.X - radius, Y: p.Y - radius})
+	hi := g.keyFor(geom.Point{X: p.X + radius, Y: p.Y + radius})
 	if g.n <= gridScanThreshold {
 		for i, k := range g.keys[:g.n] {
 			if k.cx >= lo.cx && k.cx <= hi.cx && k.cy >= lo.cy && k.cy <= hi.cy {

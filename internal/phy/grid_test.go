@@ -10,7 +10,7 @@ import (
 )
 
 // bruteNeighbors recomputes a radio's neighbor list by exhaustive pairwise
-// distance checks, the reference the grid index must reproduce exactly.
+// distance checks, the reference the reach lists must reproduce exactly.
 func bruteNeighbors(ch *Channel, of *Radio, now sim.Time) []NodeID {
 	p := of.Position(now)
 	var out []NodeID
@@ -38,16 +38,16 @@ func sameIDs(t *testing.T, got, want []NodeID, context string) {
 }
 
 // TestGridMatchesBruteForceStatic places radios uniformly at random and
-// checks that the grid-backed Neighbors/CountNeighbors/InRange agree with
-// the exhaustive scan for every node, including positions near cell
-// boundaries and outside the nominal field.
+// checks that Neighbors/CountNeighbors/InRange agree with the exhaustive
+// scan for every node, including positions near grid cell boundaries and
+// outside the nominal field.
 func TestGridMatchesBruteForceStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		sched := sim.NewScheduler()
 		rangeM := 50 + 300*rng.Float64()
 		ch := NewChannel(sched, rangeM)
-		ch.SetMotionBound(0) // static: enables the grid, never rebins
+		ch.SetMotionBound(0) // static: the reach lists are never rebuilt
 		n := 2 + rng.Intn(120)
 		for i := 0; i < n; i++ {
 			// Deliberately spread beyond one grid cell and into negative
@@ -74,7 +74,7 @@ func TestGridMatchesBruteForceStatic(t *testing.T) {
 }
 
 // TestGridMatchesBruteForceMobile drives waypoint-mobile radios across
-// many rebin epochs and checks grid queries against the exhaustive scan at
+// many reach-list rebuilds and checks queries against the exhaustive scan at
 // every probe instant.
 func TestGridMatchesBruteForceMobile(t *testing.T) {
 	sched := sim.NewScheduler()
@@ -137,8 +137,8 @@ func TestGridCSRMatchesBruteForce(t *testing.T) {
 }
 
 // TestVisitNeighborsMatchesNeighbors checks the allocation-free visitor
-// against the slice-returning query across rebin epochs of a mobile
-// scenario (the small-population scan path).
+// against the slice-returning query across reach-list rebuilds of a
+// mobile scenario (the small-population grid path).
 func TestVisitNeighborsMatchesNeighbors(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, 250)
@@ -166,8 +166,9 @@ func TestVisitNeighborsMatchesNeighbors(t *testing.T) {
 	}
 }
 
-// TestGridTransmitMatchesLinear runs the same broadcast on a grid-enabled
-// channel and on a linear-scan channel and checks the delivery sets match.
+// TestGridTransmitMatchesLinear runs the same broadcast on a channel with a
+// declared motion bound and on one without (whose reach lists are rebuilt
+// at every query instant) and checks the delivery sets match.
 func TestGridTransmitMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	points := make([]geom.Point, 80)

@@ -1,6 +1,8 @@
 // Package phy models the wireless physical layer: half-duplex radios, a
 // shared broadcast channel, deterministic disk propagation derived from the
-// two-ray ground model, per-receiver collision detection, and carrier sense.
+// two-ray ground model (or a pluggable Propagation model), per-receiver
+// collision detection, and carrier sense. Who hears whom is answered from
+// per-radio reach lists (reach.go) rather than by scanning every radio.
 //
 // The paper's ns-2 setup uses the two-ray ground reflection model with a
 // 250 m nominal transmission range at 2 Mbps. Under two-ray ground the
@@ -147,9 +149,8 @@ type LossModel interface {
 // arguments — no internal state, no shared RNG streams — so verdicts are
 // identical regardless of query order or repetition, and must be
 // symmetric in (a, b). Decodable must return false whenever dist exceeds
-// MaxRange: the spatial grid prunes candidates at that bound, so a
-// verdict beyond it would silently differ between the grid path and the
-// exhaustive scan.
+// MaxRange: the reach lists prune candidates at that bound, so a verdict
+// beyond it would never be asked for.
 //
 // Per-transmitter power control composes on top of this contract without
 // breaking purity or symmetry: a transmitter whose range is scaled by s
@@ -172,13 +173,14 @@ type Channel struct {
 	rangeM float64
 	stats  Stats
 
-	// Spatial index (see grid.go). Enabled by SetMotionBound; without a
-	// declared bound on node speed the channel cannot know when bins go
-	// stale and falls back to scanning every radio.
-	motionBound    float64
-	motionBoundSet bool
-	grid           grid
-	scratch        []int32
+	// Reach lists (see reach.go), built lazily at the first query. The
+	// declared motion bound (+Inf until SetMotionBound) decides how long
+	// a build stays valid and which verdicts it can settle without a
+	// distance. hits and hitDist are the walker's result scratch.
+	motionBound float64
+	lists       reachLists
+	hits        []int32
+	hitDist     []float64
 
 	// Freelists for the per-transmission batch machinery (see Transmit):
 	// recycling batches and deliveries keeps the reception hot path
@@ -191,12 +193,13 @@ type Channel struct {
 	txObs   TxObserver       // nil = no transmission instrumentation
 	loss    LossModel        // nil = clean channel
 
-	// Propagation model state. prop == nil is the hot disk fast path:
-	// decodability is the inlined dist <= rangeM comparison with no
-	// interface call per candidate. With a model installed, maxRange
-	// caches prop.MaxRange() as the grid query radius and chanReplay,
-	// when set, substitutes the recorded channel-loss stream for the
-	// model's transmit-time verdicts (internal/replay).
+	// Propagation model state. prop == nil is the disk fast path:
+	// decodability is dist <= rangeM, which the reach lists settle for
+	// most candidates without computing dist at all. With a model
+	// installed, maxRange caches prop.MaxRange() as the lists' reach and
+	// every candidate within it gets its exact distance for Decodable;
+	// chanReplay, when set, substitutes the recorded channel-loss stream
+	// for the model's transmit-time verdicts (internal/replay).
 	prop       Propagation
 	maxRange   float64
 	chanReplay LossModel
@@ -224,21 +227,18 @@ func (c *Channel) frameLost(rx *Radio, f Frame, now sim.Time, reason string) {
 func (c *Channel) SetLossModel(m LossModel) { c.loss = m }
 
 // SetPropagation installs a propagation model (nil restores exact disk
-// propagation at the construction radius). The spatial grid is re-sized
-// so its cell edge and query reach match the model's MaxRange — the
-// invariant that keeps grid answers identical to the exhaustive scan
-// under per-link variable effective range. Call before the run starts:
-// switching models mid-run would change verdicts already relied on.
+// propagation at the construction radius). The reach lists are rebuilt
+// at the model's MaxRange — the invariant that keeps list answers
+// identical to the exhaustive scan under per-link variable effective
+// range. Call before the run starts: switching models mid-run would
+// change verdicts already relied on.
 func (c *Channel) SetPropagation(p Propagation) {
 	c.prop = p
-	if p == nil {
-		c.maxRange = 0
-		c.grid = grid{cell: c.rangeM, slack: c.rangeM / 4}
-		return
+	c.maxRange = 0
+	if p != nil {
+		c.maxRange = p.MaxRange()
 	}
-	mr := p.MaxRange()
-	c.maxRange = mr
-	c.grid = grid{cell: mr, slack: mr / 4}
+	c.lists.valid = false
 }
 
 // SetChannelReplay substitutes a recorded channel-loss stream for the
@@ -251,27 +251,31 @@ func (c *Channel) SetChannelReplay(m LossModel) { c.chanReplay = m }
 // NewChannel creates a channel; rangeM is the decode radius in metres.
 func NewChannel(sched *sim.Scheduler, rangeM float64) *Channel {
 	return &Channel{
-		sched:  sched,
-		byID:   make(map[NodeID]*Radio),
-		rangeM: rangeM,
-		grid:   grid{cell: rangeM, slack: rangeM / 4},
+		sched:       sched,
+		byID:        make(map[NodeID]*Radio),
+		rangeM:      rangeM,
+		motionBound: math.Inf(1),
 	}
 }
 
 // SetMotionBound declares an upper bound on how fast any radio on this
 // channel moves (metres per simulated second; 0 means every radio is
-// stationary) and enables the spatial grid index: Transmit, Neighbors and
-// CountNeighbors then query a uniform grid instead of scanning all radios.
-// The bound must hold for the whole run; grid answers are exact (identical
-// to the exhaustive scan) as long as it does.
+// stationary). It decides how long the reach lists stay valid: without a
+// declared bound they are rebuilt at every new query instant. The bound
+// must hold for the whole run — the lists settle verdicts from it, so
+// their answers are identical to the exhaustive scan only as long as it
+// does.
 func (c *Channel) SetMotionBound(maxSpeedMps float64) {
 	if maxSpeedMps < 0 {
 		maxSpeedMps = 0
 	}
 	c.motionBound = maxSpeedMps
-	c.motionBoundSet = true
-	c.grid.valid = false
+	c.lists.valid = false
 }
+
+// MotionBound returns the declared bound on radio speed (m/s), or +Inf
+// when none was declared.
+func (c *Channel) MotionBound() float64 { return c.motionBound }
 
 // Stats returns a copy of the channel counters.
 func (c *Channel) Stats() Stats { return c.stats }
@@ -282,10 +286,10 @@ func (c *Channel) Range() float64 { return c.rangeM }
 // AddRadio registers a radio for a node. Radios start awake at nominal
 // transmit power.
 func (c *Channel) AddRadio(id NodeID, mob mobility.Model) *Radio {
-	r := &Radio{id: id, ch: c, mob: mob, awake: true, txScale: 1}
+	r := &Radio{id: id, idx: int32(len(c.radios)), ch: c, mob: mob, awake: true, txScale: 1}
 	c.radios = append(c.radios, r)
 	c.byID[id] = r
-	c.grid.valid = false
+	c.lists.valid = false
 	return r
 }
 
@@ -311,124 +315,32 @@ func (c *Channel) InRange(a, b *Radio, now sim.Time) bool {
 	return d <= c.rangeM*s
 }
 
-// visitInRange calls visit for every radio other than center that a
-// transmission from center reaches at instant now, in registration order
-// (deterministic regardless of whether the grid index or the exhaustive
-// scan answers the query). Reach uses center's transmit range scale, so
-// the answer is directional under power control. With a propagation model
-// installed, "within range" means the model's verdict for the (center,
-// other) link at now queried at the power-normalized distance; the grid
-// is queried at the scaled reach so no candidate with a possibly-true
-// verdict is pruned (grid queries accept radii larger than the cell edge).
-func (c *Channel) visitInRange(center *Radio, now sim.Time, visit func(*Radio)) {
-	p := center.Position(now)
-	s := center.txScale
-	if c.prop != nil {
-		reach := c.maxRange * s
-		if c.motionBoundSet && reach > 0 {
-			if c.grid.stale(now, c.motionBound) {
-				c.grid.rebin(c.radios, now)
-			}
-			c.scratch = c.grid.candidates(p, reach, c.scratch)
-			for _, i := range c.scratch {
-				o := c.radios[i]
-				if o == center {
-					continue
-				}
-				if d := p.DistanceTo(o.Position(now)); d <= reach && c.prop.Decodable(now, center.id, o.id, d/s) {
-					visit(o)
-				}
-			}
-			return
-		}
-		for _, o := range c.radios {
-			if o == center {
-				continue
-			}
-			if d := p.DistanceTo(o.Position(now)); d <= reach && c.prop.Decodable(now, center.id, o.id, d/s) {
-				visit(o)
-			}
-		}
-		return
-	}
-	reach := c.rangeM * s
-	if c.motionBoundSet && reach > 0 {
-		if c.grid.stale(now, c.motionBound) {
-			c.grid.rebin(c.radios, now)
-		}
-		c.scratch = c.grid.candidates(p, reach, c.scratch)
-		for _, i := range c.scratch {
-			o := c.radios[i]
-			if o == center {
-				continue
-			}
-			if p.DistanceTo(o.Position(now)) <= reach {
-				visit(o)
-			}
-		}
-		return
-	}
-	for _, o := range c.radios {
-		if o == center {
-			continue
-		}
-		if p.DistanceTo(o.Position(now)) <= reach {
-			visit(o)
-		}
-	}
-}
-
-// Neighbors returns the IDs of all radios within range of r at now,
-// excluding r itself, in registration order (deterministic).
+// Neighbors returns the IDs of all radios that decode a transmission from
+// r at now, excluding r itself, in registration order (deterministic). Reach
+// uses r's transmit range scale, so the answer is directional under power
+// control; with a propagation model installed it also takes the model's
+// verdict for each link, queried at the power-normalized distance.
 func (c *Channel) Neighbors(r *Radio, now sim.Time) []NodeID {
 	var out []NodeID
-	c.visitInRange(r, now, func(o *Radio) {
-		out = append(out, o.id)
-	})
+	for _, j := range c.neighbors(r, now) {
+		out = append(out, c.radios[j].id)
+	}
 	return out
 }
 
-// VisitNeighbors calls visit with the ID of every radio within range of r at
-// now, excluding r itself, in registration order. It is the allocation-free
-// form of Neighbors for per-event hot paths (PSM churn tracking).
+// VisitNeighbors calls visit with the ID of every radio Neighbors would
+// return, in the same order. It is the allocation-free form of Neighbors
+// for per-event hot paths (PSM churn tracking, ATIM reach); visit must not
+// query the channel.
 func (c *Channel) VisitNeighbors(r *Radio, now sim.Time, visit func(NodeID)) {
-	if c.prop != nil {
-		c.visitInRange(r, now, func(o *Radio) { visit(o.id) })
-		return
-	}
-	p := r.Position(now)
-	reach := c.rangeM * r.txScale
-	if c.motionBoundSet && reach > 0 {
-		if c.grid.stale(now, c.motionBound) {
-			c.grid.rebin(c.radios, now)
-		}
-		c.scratch = c.grid.candidates(p, reach, c.scratch)
-		for _, i := range c.scratch {
-			o := c.radios[i]
-			if o == r {
-				continue
-			}
-			if p.DistanceTo(o.Position(now)) <= reach {
-				visit(o.id)
-			}
-		}
-		return
-	}
-	for _, o := range c.radios {
-		if o == r {
-			continue
-		}
-		if p.DistanceTo(o.Position(now)) <= reach {
-			visit(o.id)
-		}
+	for _, j := range c.neighbors(r, now) {
+		visit(c.radios[j].id)
 	}
 }
 
-// CountNeighbors returns the number of radios within range of r at now.
+// CountNeighbors returns the number of radios Neighbors would return.
 func (c *Channel) CountNeighbors(r *Radio, now sim.Time) int {
-	n := 0
-	c.visitInRange(r, now, func(*Radio) { n++ })
-	return n
+	return len(c.neighbors(r, now))
 }
 
 // Transmit puts f on the air from tx for the frame's airtime at the given
@@ -457,59 +369,15 @@ func (c *Channel) Transmit(tx *Radio, f Frame, rateMbps float64) {
 	b := c.allocBatch()
 	b.frame = f
 	b.end = end
-	p := tx.Position(now)
-	s := tx.txScale
-	if c.prop != nil {
-		reach := c.maxRange * s
-		if c.motionBoundSet && reach > 0 {
-			if c.grid.stale(now, c.motionBound) {
-				c.grid.rebin(c.radios, now)
-			}
-			c.scratch = c.grid.candidates(p, reach, c.scratch)
-			for _, i := range c.scratch {
-				rx := c.radios[i]
-				if rx == tx {
-					continue
-				}
-				if d := p.DistanceTo(rx.Position(now)); d <= reach {
-					c.admitReception(b, tx, rx, now, end, d/s)
-				}
-			}
-		} else {
-			for _, rx := range c.radios {
-				if rx == tx {
-					continue
-				}
-				if d := p.DistanceTo(rx.Position(now)); d <= reach {
-					c.admitReception(b, tx, rx, now, end, d/s)
-				}
-			}
+	hits, dist := c.reached(tx, now)
+	for k, j := range hits {
+		rx := c.radios[j]
+		if c.prop != nil {
+			c.admitReception(b, tx, rx, now, end, dist[k]/tx.txScale)
+			continue
 		}
-	} else if reach := c.rangeM * s; c.motionBoundSet && reach > 0 {
-		if c.grid.stale(now, c.motionBound) {
-			c.grid.rebin(c.radios, now)
-		}
-		c.scratch = c.grid.candidates(p, reach, c.scratch)
-		for _, i := range c.scratch {
-			rx := c.radios[i]
-			if rx == tx {
-				continue
-			}
-			if p.DistanceTo(rx.Position(now)) <= reach {
-				rx.extendCarrier(end)
-				c.beginReception(b, rx, now, end)
-			}
-		}
-	} else {
-		for _, rx := range c.radios {
-			if rx == tx {
-				continue
-			}
-			if p.DistanceTo(rx.Position(now)) <= reach {
-				rx.extendCarrier(end)
-				c.beginReception(b, rx, now, end)
-			}
-		}
+		rx.extendCarrier(end)
+		c.beginReception(b, rx, now, end)
 	}
 	if b.head == nil {
 		// No receiver entered the reception state (all asleep or
@@ -695,6 +563,7 @@ func (c *Channel) releaseDelivery(d *delivery) {
 // Radio is one node's transceiver.
 type Radio struct {
 	id    NodeID
+	idx   int32 // registration index in ch.radios
 	ch    *Channel
 	mob   mobility.Model
 	recv  Receiver
@@ -745,7 +614,10 @@ func (r *Radio) SetTxRangeScale(s float64) {
 	if !(s > 0) {
 		s = 1
 	}
-	r.txScale = s
+	if s != r.txScale {
+		r.txScale = s
+		r.ch.lists.valid = false
+	}
 }
 
 // TxRangeScale returns the radio's transmit range scale.

@@ -44,10 +44,10 @@ func buildChannel(seed int64, model string, sigma float64, n int, maxSpeed float
 	return ch, sched, m, nil
 }
 
-// FuzzPropagationGrid fuzzes the grid index against the exhaustive pairwise
+// FuzzPropagationGrid fuzzes the reach lists against the exhaustive pairwise
 // reference under variable effective range: with a propagation model
 // installed, a link can extend past the nominal radius (constructive
-// shadowing/fading draws) or break inside it, and every grid-backed query —
+// shadowing/fading draws) or break inside it, and every neighbor query —
 // Neighbors, VisitNeighbors, CountNeighbors, InRange — must still agree
 // with brute force at every probe instant.
 func FuzzPropagationGrid(f *testing.F) {
@@ -75,7 +75,7 @@ func FuzzPropagationGrid(f *testing.F) {
 		}
 		probes := []sim.Time{0}
 		if maxSpeed > 0 {
-			// Span several grid staleness windows so rebinning is exercised.
+			// Span several skin lifetimes so list rebuilds are exercised.
 			probes = append(probes, sim.FromSeconds(2.9), sim.FromSeconds(10), sim.FromSeconds(31))
 		}
 		radios := ch.Radios()

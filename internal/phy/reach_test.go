@@ -1,0 +1,238 @@
+package phy_test
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"rcast/internal/geom"
+	"rcast/internal/mobility"
+	"rcast/internal/phy"
+	"rcast/internal/propagation"
+	"rcast/internal/sim"
+)
+
+// linear moves at a constant velocity over an unbounded plane, so its
+// speed is exactly |vel|: two of them moving apart make the reach lists'
+// pair-drift bound tight.
+type linear struct{ p0, vel geom.Point }
+
+func (m linear) PositionAt(t sim.Time) geom.Point {
+	s := t.Seconds()
+	return geom.Point{X: m.p0.X + m.vel.X*s, Y: m.p0.Y + m.vel.Y*s}
+}
+
+// bruteReach is the exhaustive scan the reach lists replace: the radios a
+// transmission from r at now reaches, and those of them that decode it.
+func bruteReach(ch *phy.Channel, m phy.Propagation, r *phy.Radio, now sim.Time) (reached, decoded []phy.NodeID) {
+	p := r.Position(now)
+	s := r.TxRangeScale()
+	reach := ch.Range() * s
+	if m != nil {
+		reach = m.MaxRange() * s
+	}
+	for _, o := range ch.Radios() {
+		if o == r {
+			continue
+		}
+		d := p.DistanceTo(o.Position(now))
+		if d > reach {
+			continue
+		}
+		reached = append(reached, o.ID())
+		if m == nil || m.Decodable(now, r.ID(), o.ID(), d/s) {
+			decoded = append(decoded, o.ID())
+		}
+	}
+	return reached, decoded
+}
+
+// checkQueries compares every neighbor query of every radio at now with
+// the exhaustive scan.
+func checkQueries(t *testing.T, ch *phy.Channel, m phy.Propagation, now sim.Time) {
+	t.Helper()
+	radios := ch.Radios()
+	for _, r := range radios {
+		_, want := bruteReach(ch, m, r, now)
+		if got := ch.Neighbors(r, now); !slices.Equal(got, want) {
+			t.Fatalf("Neighbors(%v) @%v = %v, want %v", r.ID(), now, got, want)
+		}
+		if got := ch.CountNeighbors(r, now); got != len(want) {
+			t.Fatalf("CountNeighbors(%v) @%v = %d, want %d", r.ID(), now, got, len(want))
+		}
+		var visited []phy.NodeID
+		ch.VisitNeighbors(r, now, func(id phy.NodeID) { visited = append(visited, id) })
+		if !slices.Equal(visited, want) {
+			t.Fatalf("VisitNeighbors(%v) @%v = %v, want %v", r.ID(), now, visited, want)
+		}
+		for _, o := range radios {
+			if o != r && ch.InRange(r, o, now) != slices.Contains(want, o.ID()) {
+				t.Fatalf("InRange(%v, %v) @%v disagrees with the scan", r.ID(), o.ID(), now)
+			}
+		}
+	}
+}
+
+// rxLog records, per transmission, who decoded the frame and who lost it
+// to the propagation model.
+type rxLog struct{ delivered, chanLost []phy.NodeID }
+
+func (l *rxLog) FrameDelivered(_ sim.Time, rx phy.NodeID, _ bool, _ phy.Frame) {
+	l.delivered = append(l.delivered, rx)
+}
+
+func (l *rxLog) FrameLost(_ sim.Time, rx phy.NodeID, _ phy.Frame, reason string) {
+	if reason == phy.LossChannel {
+		l.chanLost = append(l.chanLost, rx)
+	}
+}
+
+// checkTransmit broadcasts one frame from r at the scheduler's instant and
+// requires the deliveries and channel losses the exhaustive scan predicts.
+// Every radio is awake and the clock moves past the frame's end before the
+// next one starts (a frame nobody receives schedules no event), so nothing
+// else can claim a receiver.
+func checkTransmit(t *testing.T, ch *phy.Channel, sched *sim.Scheduler, m phy.Propagation, log *rxLog, r *phy.Radio) {
+	t.Helper()
+	now := sched.Now()
+	reached, decoded := bruteReach(ch, m, r, now)
+	var lost []phy.NodeID
+	for _, id := range reached {
+		if !slices.Contains(decoded, id) {
+			lost = append(lost, id)
+		}
+	}
+	log.delivered, log.chanLost = log.delivered[:0], log.chanLost[:0]
+	ch.Transmit(r, phy.Frame{From: r.ID(), To: phy.Broadcast, Bytes: 64}, 2)
+	sched.RunUntil(now + phy.Airtime(64, 2))
+	if !slices.Equal(log.delivered, decoded) || !slices.Equal(log.chanLost, lost) {
+		t.Fatalf("Transmit(%v) @%v delivered %v, chan-lost %v; want %v, %v",
+			r.ID(), now, log.delivered, log.chanLost, decoded, lost)
+	}
+}
+
+// FuzzReachLists drives the reach lists against the exhaustive scan where
+// their shortcuts are most likely to slip: pairs whose distance crosses the
+// reach within a few ulps of a query instant, at a pair drift just below
+// and just above the skin, queries before the build instant, a model,
+// transmit scales and registrations changed after the first query, static
+// and mobile channels (the motion bound declared or not), and the disk
+// fast path as well as the propagation models.
+func FuzzReachLists(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(0), 20.0, true)
+	f.Add(int64(2), uint8(30), uint8(1), 20.0, true)
+	f.Add(int64(3), uint8(20), uint8(0), 0.0, true)
+	f.Add(int64(4), uint8(20), uint8(1), 0.0, true)
+	f.Add(int64(5), uint8(40), uint8(2), 5.0, true)
+	f.Add(int64(6), uint8(40), uint8(3), 30.0, true)
+	f.Add(int64(7), uint8(15), uint8(0), 20.0, false)
+	f.Add(int64(8), uint8(15), uint8(3), 0.0, true)
+	f.Add(int64(9), uint8(50), uint8(0), 1.5, true)
+	f.Add(int64(10), uint8(25), uint8(1), 3.0, true)
+	f.Add(int64(11), uint8(25), uint8(0), 0.7, true)
+	f.Add(int64(12), uint8(25), uint8(0), 12.0, true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, modelIdx uint8, speed float64, declare bool) {
+		const rangeM = 250.0
+		v := speed
+		if !(v >= 0 && v <= 40) {
+			v = 0
+		}
+		rng := rand.New(rand.NewSource(seed))
+		sched := sim.NewScheduler()
+		ch := phy.NewChannel(sched, rangeM)
+		var m phy.Propagation
+		if k := int(modelIdx % 4); k > 0 {
+			var err error
+			if m, err = propagation.Parse(propagation.Names()[k-1], rangeM, 6, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if declare {
+			ch.SetMotionBound(v)
+		}
+		reach := rangeM
+		if m != nil {
+			reach = m.MaxRange()
+		}
+		add := func(mob mobility.Model) *phy.Radio {
+			return ch.AddRadio(phy.NodeID(len(ch.Radios())), mob)
+		}
+
+		// The build instant, and the instants whose drift since it sits at
+		// the interesting places: a hair, half the skin, and either side of
+		// the instant the skin runs out.
+		t0 := sim.FromSeconds(1 + 4*rng.Float64())
+		probes := []sim.Time{t0, t0 - sim.Millisecond, t0 + 1, t0 + sim.Millisecond}
+		if v > 0 {
+			crit := sim.FromSeconds((phy.SkinFrac*reach - phy.ReachEps) / (2 * v))
+			probes = append(probes, t0+crit/2, t0+crit-1, t0+crit, t0+crit+1, t0-min(crit/2, t0))
+		}
+
+		// Pairs that cross the reach within a few ulps of a probe: one
+		// radio moves at speed v straight away from the other, which moves
+		// the opposite way, so their distance grows at exactly 2v.
+		y := 0.0
+		for _, tq := range probes[2:] {
+			sq := tq.Seconds()
+			for k := -3; k <= 3; k++ {
+				gap := reach - 2*v*sq
+				for i := 0; i < k; i++ {
+					gap = math.Nextafter(gap, math.Inf(1))
+				}
+				for i := 0; i > k; i-- {
+					gap = math.Nextafter(gap, math.Inf(-1))
+				}
+				x := 1000 * rng.Float64()
+				add(linear{p0: geom.Point{X: x, Y: y}, vel: geom.Point{X: -v}})
+				add(linear{p0: geom.Point{X: x + gap, Y: y}, vel: geom.Point{X: v}})
+				y += 1.5 * reach // keep the pairs out of each other's reach
+			}
+		}
+		// A random crowd around the pairs, some at non-nominal power.
+		for i := 0; i < 4+int(n%60); i++ {
+			p := geom.Point{X: 1500 * rng.Float64(), Y: y * rng.Float64()}
+			a := 2 * math.Pi * rng.Float64()
+			sp := v
+			if rng.Intn(2) == 0 {
+				sp *= rng.Float64()
+			}
+			r := add(linear{p0: p, vel: geom.Point{X: sp * math.Cos(a), Y: sp * math.Sin(a)}})
+			if rng.Intn(4) == 0 {
+				r.SetTxRangeScale([]float64{0.5, 1.5, 2}[rng.Intn(3)])
+			}
+		}
+
+		// A model installed after a first query must rebuild the lists at
+		// its own reach.
+		if m != nil {
+			checkQueries(t, ch, nil, t0)
+			ch.SetPropagation(m)
+		}
+		for _, now := range probes {
+			checkQueries(t, ch, m, now)
+		}
+		// Changes after the first query must invalidate the lists.
+		radios := ch.Radios()
+		radios[rng.Intn(len(radios))].SetTxRangeScale(0.5 + 2*rng.Float64())
+		checkQueries(t, ch, m, probes[len(probes)-1])
+		near := radios[0].Position(t0)
+		add(mobility.Static{P: geom.Point{X: near.X + reach*rng.Float64(), Y: near.Y}})
+		checkQueries(t, ch, m, t0)
+		radios = ch.Radios()
+
+		log := &rxLog{}
+		ch.SetDeliveryObserver(log)
+		ch.SetDropObserver(log)
+		slices.Sort(probes)
+		for _, now := range probes {
+			if now < sched.Now() {
+				continue
+			}
+			sched.RunUntil(now)
+			for i := 0; i < 3; i++ {
+				checkTransmit(t, ch, sched, m, log, radios[rng.Intn(len(radios))])
+			}
+		}
+	})
+}

@@ -56,13 +56,12 @@ func TestTxRangeScaleDefaultsToUnity(t *testing.T) {
 	}
 }
 
-// TestTxRangeScaleNeighborsGridVsScan: the spatial grid's candidate search
-// must honour a boosted radio's enlarged reach (larger than the grid cell
-// edge) and a quiet radio's shrunken one, matching the brute-force scan
-// the grid replaces.
+// TestTxRangeScaleNeighborsGridVsScan: reach lists must honour a boosted
+// radio's enlarged reach (larger than the grid cell edge) and a quiet
+// radio's shrunken one, with the motion bound declared and without.
 func TestTxRangeScaleNeighborsGridVsScan(t *testing.T) {
 	for _, scale := range []float64{0.5, 1, 2.5} {
-		// Build twice: with the grid (motion bound set) and without.
+		// Build twice: with the motion bound declared and without.
 		var got [2][]NodeID
 		for pass, bound := range []bool{true, false} {
 			sched := sim.NewScheduler()

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
 # over the MAC, route-cache, scheduler-wheel, trace-reader,
-# propagation-grid, fading-verdict and config-decoder targets, the
-# coverage gate, the calibrated perf-smoke gate (a 3-node and a 100-node
-# route-learning cell), a benchmark smoke run, a tracediff smoke
+# propagation-grid, reach-list, fading-verdict and config-decoder targets,
+# the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
+# 100-node route-learning cell and the 100-node mobile paper cell), a
+# benchmark smoke run, a tracediff smoke
 # (audit inert / seeds diverge), the golden-trace corpus gate (every
 # committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
@@ -33,6 +34,7 @@ go test -run '^$' -fuzz 'FuzzCacheOperations' -fuzztime 10s ./internal/routing/d
 go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
+go test -run '^$' -fuzz 'FuzzReachLists' -fuzztime 10s ./internal/phy
 go test -run '^$' -fuzz 'FuzzFadingVerdict' -fuzztime 10s ./internal/propagation
 go test -run '^$' -fuzz 'FuzzDecodeConfig' -fuzztime 10s ./internal/scenario
 
@@ -40,16 +42,17 @@ echo "== coverage gate =="
 go run ./tools/covergate
 
 echo "== perf smoke =="
-# Calibrated gate over two cells, each scored on its own: a 3-node cell
-# for the event kernel and a 100-node always-on cell for DSR route
-# learning. Fails on a >30% slowdown of either relative to
-# tools/perfsmoke/baseline.json (see that tool for how the score is
-# normalized across machines).
+# Calibrated gate over three cells, each scored on its own: a 3-node cell
+# for the event kernel, a 100-node always-on cell for DSR route learning
+# and the paper's mobile 100-node Rcast cell. Fails on a >30% slowdown of
+# any relative to tools/perfsmoke/baseline.json (see that tool for how the
+# score is normalized across machines).
 go run ./tools/perfsmoke
 
 echo "== bench smoke =="
 go test -run '^$' -bench 'BenchmarkFullRunRcast$|BenchmarkChannelTransmit' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkCacheAdd$|BenchmarkLearnFromTransmitter$' -benchtime 1x ./internal/routing/dsr
+go test -run '^$' -bench 'BenchmarkTransmit|BenchmarkVisitNeighbors|BenchmarkCountNeighbors' -benchtime 1x ./internal/phy
 
 echo "== tracediff smoke =="
 # The audit must be observation-only: trace A (plain) against B (audited)

@@ -6,7 +6,11 @@
 //     kernel;
 //   - route-learning-100: 100 always-on static nodes at 2 pkt/s for 150 s,
 //     whose route caches fill and then reject almost every overheard
-//     route, for DSR route learning.
+//     route, for DSR route learning;
+//   - paper-rcast-100: the paper's own cell (100 mobile nodes, Rcast over
+//     DSR, 1125 s), for what a paper run exercises together: PSM beacons
+//     and ATIM reach, the overhearing lottery's neighbor counts and the
+//     PHY's reach lists under mobility.
 //
 // Raw wall-clock time is useless as a committed number — CI machines
 // differ by far more than any regression worth catching. Instead the gate
@@ -21,7 +25,8 @@
 // machines while still moving one-for-one with real event-kernel
 // regressions. The route-learning cell is mostly cache scans, so its
 // score wobbles more (0.93–1.46 over nine runs on a 2-vCPU VM), but
-// undoing the route-learning speedup costs it about a third. Best-of-3
+// undoing the route-learning speedup costs it about a third; the paper
+// cell's baseline is likewise the median of nine -write runs. Best-of-3
 // runs on both sides squeeze out scheduler noise. Every cell shares the
 // one calibration time.
 //
@@ -81,6 +86,7 @@ var cells = []cell{
 		cfg.Pause = cfg.Duration // static cell
 		return cfg
 	}},
+	{"paper-rcast-100", rcast.PaperDefaults},
 }
 
 // calibrate times the fixed reference workload: the heap-oracle scheduler
