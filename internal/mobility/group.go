@@ -19,9 +19,9 @@ import (
 // point travels near an edge.
 //
 // Member composes pure-function-of-time models, so it is itself pure —
-// the property the radio's single-instant position cache relies on. The
-// reference model is shared by every member of a group; sharing is safe
-// because all model code runs on the single-threaded simulation kernel.
+// the property the radio's position cache relies on. The reference model
+// is shared by every member of a group; sharing is safe because all model
+// code runs on the single-threaded simulation kernel.
 type Member struct {
 	Field  geom.Rect
 	Ref    Model      // shared per-group reference trajectory
@@ -34,4 +34,12 @@ var _ Model = Member{}
 // PositionAt implements Model.
 func (m Member) PositionAt(t sim.Time) geom.Point {
 	return m.Field.Clamp(m.Ref.PositionAt(t).Add(m.Local.PositionAt(t).Sub(m.Center)))
+}
+
+// StillInterval implements Stiller: a member stands still while both its
+// reference and its wander do.
+func (m Member) StillInterval(t sim.Time) (from, until sim.Time) {
+	from, until = StillInterval(m.Ref, t)
+	lf, lu := StillInterval(m.Local, t)
+	return max(from, lf), min(until, lu)
 }

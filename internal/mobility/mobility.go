@@ -6,9 +6,19 @@
 // Positions are computed analytically from a lazily extended list of
 // movement legs, so queries at arbitrary instants are exact and no periodic
 // "mobility tick" events are needed.
+//
+// A model may also implement the optional Stiller interface and report the
+// still interval around an instant: the stretch over which its position is
+// bitwise constant. Static is still forever, a Waypoint on each pause, a
+// group Member while its reference and its wander both are, and a Shifted
+// where its base is and every shift factor is constant; GaussMarkov never
+// is. StillInterval answers for any Model, treating one that cannot say
+// as still only at the instant asked about. The channel's reach lists use
+// the intervals to settle links between radios that have not moved.
 package mobility
 
 import (
+	"math"
 	"math/rand"
 
 	"rcast/internal/geom"
@@ -23,6 +33,22 @@ type Model interface {
 	PositionAt(t sim.Time) geom.Point
 }
 
+// Stiller is implemented by models that can tell when they stand still.
+type Stiller interface {
+	// StillInterval returns an interval [from, until) containing t over
+	// which PositionAt returns a bitwise-identical point.
+	StillInterval(t sim.Time) (from, until sim.Time)
+}
+
+// StillInterval returns m's still interval around t, or [t, t+1) — still
+// only at t itself — when m does not implement Stiller.
+func StillInterval(m Model, t sim.Time) (from, until sim.Time) {
+	if s, ok := m.(Stiller); ok {
+		return s.StillInterval(t)
+	}
+	return t, t + 1
+}
+
 // Static pins a node at a fixed point. It models the paper's "static
 // scenario" (pause time = simulation length).
 type Static struct {
@@ -33,6 +59,11 @@ var _ Model = Static{}
 
 // PositionAt implements Model.
 func (s Static) PositionAt(sim.Time) geom.Point { return s.P }
+
+// StillInterval implements Stiller: a static node is still forever.
+func (Static) StillInterval(sim.Time) (from, until sim.Time) {
+	return math.MinInt64, math.MaxInt64
+}
 
 // Waypoint is the random waypoint model.
 //
@@ -99,9 +130,23 @@ func (w *Waypoint) PositionAt(t sim.Time) geom.Point {
 	return legPosition(w.legs, t)
 }
 
-// legPosition interpolates a position on a leg list covering instant t
+// StillInterval implements Stiller: the leg around t when it is a pause.
+// It reads only the legs PositionAt(t) materializes, so it draws nothing
+// a position query would not.
+func (w *Waypoint) StillInterval(t sim.Time) (from, until sim.Time) {
+	if t < 0 {
+		return t, t + 1
+	}
+	w.extendTo(t)
+	if l := w.legs[legAt(w.legs, t)]; l.from == l.to {
+		return l.start, l.end
+	}
+	return t, t + 1
+}
+
+// legAt returns the index of the leg covering instant t in a leg list
 // (binary search; legs are contiguous and sorted by time).
-func legPosition(legs []leg, t sim.Time) geom.Point {
+func legAt(legs []leg, t sim.Time) int {
 	lo, hi := 0, len(legs)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -111,7 +156,12 @@ func legPosition(legs []leg, t sim.Time) geom.Point {
 			hi = mid
 		}
 	}
-	l := legs[lo]
+	return lo
+}
+
+// legPosition interpolates a position on a leg list covering instant t.
+func legPosition(legs []leg, t sim.Time) geom.Point {
+	l := legs[legAt(legs, t)]
 	if l.from == l.to || l.end == l.start {
 		return l.from
 	}

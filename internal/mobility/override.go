@@ -1,6 +1,8 @@
 package mobility
 
 import (
+	"math"
+
 	"rcast/internal/geom"
 	"rcast/internal/sim"
 )
@@ -35,21 +37,36 @@ func (s Shift) factor(t sim.Time) float64 {
 	return 1
 }
 
+// constantAround returns an interval containing t over which the shift
+// factor is constant: before the window opens, after it closes, or on the
+// plateau between the ramps. On a ramp only t itself qualifies.
+func (s Shift) constantAround(t sim.Time) (from, until sim.Time) {
+	switch {
+	case t <= s.Start:
+		return math.MinInt64, s.Start + 1
+	case t >= s.Stop:
+		return s.Stop, math.MaxInt64
+	case s.Ramp <= 0:
+		return s.Start + 1, s.Stop
+	case t-s.Start >= s.Ramp && s.Stop-t >= s.Ramp:
+		return s.Start + s.Ramp, s.Stop - s.Ramp + 1
+	}
+	return t, t + 1
+}
+
 // MaxExtraSpeed returns the largest speed (m/s) the shift adds on top of
 // the base model's own motion.
 func (s Shift) MaxExtraSpeed() float64 {
 	if s.Ramp <= 0 {
-		return inf
+		return math.Inf(1)
 	}
 	return s.Offset.Norm() / s.Ramp.Seconds()
 }
 
-var inf = func() float64 { var z float64; return 1 / z }()
-
 // Shifted wraps a base model with timed displacement overrides (partition
 // faults). Like every Model it is a pure function of time: the shift factor
 // is computed analytically, so arbitrary and out-of-order queries stay
-// consistent and the per-instant position cache in phy remains valid.
+// consistent and the position cache in phy remains valid.
 type Shifted struct {
 	Base   Model
 	Shifts []Shift
@@ -66,4 +83,15 @@ func (s *Shifted) PositionAt(t sim.Time) geom.Point {
 		}
 	}
 	return p
+}
+
+// StillInterval implements Stiller: the base model's still interval, cut
+// to where every shift factor is constant.
+func (s *Shifted) StillInterval(t sim.Time) (from, until sim.Time) {
+	from, until = StillInterval(s.Base, t)
+	for _, sh := range s.Shifts {
+		f, u := sh.constantAround(t)
+		from, until = max(from, f), min(until, u)
+	}
+	return from, until
 }

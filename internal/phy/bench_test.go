@@ -27,11 +27,26 @@ func benchCell(n int) (*sim.Scheduler, *Channel, []*Radio) {
 	return sched, ch, radios
 }
 
-// benchField builds the paper's topology: 100 radios placed at random on a
-// 1500×300 m field with a 250 m range, static or moving by random waypoint
-// at up to 20 m/s with no pause, under the motion bound the simulator
-// would declare for it.
-func benchField(mobile bool) (*sim.Scheduler, *Channel, []*Radio) {
+// fieldCase is one variant of the 100-node paper field: static, moving by
+// random waypoint at up to 20 m/s with no pause, or in the paper's regime —
+// paused for the first 600 s, then moving — with the queries straddling
+// the pause end.
+type fieldCase struct {
+	name   string
+	mobile bool
+	pause  sim.Time
+}
+
+var fieldCases = []fieldCase{
+	{"static", false, 0},
+	{"mobile", true, 0},
+	{"paper", true, 600 * sim.Second},
+}
+
+// benchField builds the paper's topology for tc: 100 radios placed at
+// random on a 1500×300 m field with a 250 m range, under the motion bound
+// the simulator would declare for it.
+func benchField(tc fieldCase) (*sim.Scheduler, *Channel, []*Radio) {
 	const n, maxSpeed = 100, 20.0
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, 250)
@@ -41,18 +56,19 @@ func benchField(mobile bool) (*sim.Scheduler, *Channel, []*Radio) {
 	for i := range radios {
 		start := field.RandomPoint(rng)
 		var mob mobility.Model = mobility.Static{P: start}
-		if mobile {
+		if tc.mobile {
 			mob = mobility.NewWaypoint(mobility.WaypointConfig{
 				Field:    field,
 				MinSpeed: 1,
 				MaxSpeed: maxSpeed,
+				Pause:    tc.pause,
 				Start:    start,
 			}, sim.Stream(int64(i), "bench-field"))
 		}
 		radios[i] = ch.AddRadio(NodeID(i), mob)
 		radios[i].SetReceiver(&sink{})
 	}
-	if mobile {
+	if tc.mobile {
 		ch.SetMotionBound(maxSpeed)
 	} else {
 		ch.SetMotionBound(0)
@@ -60,11 +76,12 @@ func benchField(mobile bool) (*sim.Scheduler, *Channel, []*Radio) {
 	return sched, ch, radios
 }
 
-// fieldCases are the static and mobile variants of benchField.
-var fieldCases = []struct {
-	name   string
-	mobile bool
-}{{"static", false}, {"mobile", true}}
+// firstQuery returns the instant a benchmark of ops queries, step apart,
+// starts at: 0, or for the paper case the instant that puts the pause end
+// halfway through them.
+func (tc fieldCase) firstQuery(ops int, step sim.Time) sim.Time {
+	return max(0, tc.pause-sim.Time(ops/2)*step)
+}
 
 // BenchmarkTransmitBatchedDelivery measures one full broadcast delivery
 // cycle — Transmit, one batch event, per-receiver finishReception — with
@@ -101,14 +118,15 @@ func BenchmarkTransmitFrameAlloc(b *testing.B) {
 }
 
 // BenchmarkTransmitField measures a full broadcast delivery cycle on the
-// 100-node paper field, static and mobile. Each frame ends before the next
-// starts, so the mobile case queries a new instant every time and pays
-// its share of list rebuilds.
+// 100-node paper field, static, mobile and in the paper's regime. Each
+// frame ends before the next starts, so the moving cases query a new
+// instant every time and pay their share of list rebuilds.
 func BenchmarkTransmitField(b *testing.B) {
 	for _, tc := range fieldCases {
 		b.Run(tc.name, func(b *testing.B) {
-			sched, ch, radios := benchField(tc.mobile)
+			sched, ch, radios := benchField(tc)
 			f := Frame{From: 0, To: Broadcast, Bytes: 512}
+			sched.RunUntil(tc.firstQuery(b.N, Airtime(f.Bytes, 2)))
 			ch.Transmit(radios[0], f, 2)
 			sched.Run()
 			b.ReportAllocs()
@@ -123,7 +141,8 @@ func BenchmarkTransmitField(b *testing.B) {
 
 // BenchmarkVisitNeighbors measures the allocation-free neighbor visitation
 // used by the PSM churn estimator and the ATIM reach, on one 64-radio cell
-// and on the 100-node paper field (queried every simulated millisecond).
+// and on each variant of the 100-node paper field (queried every simulated
+// millisecond).
 func BenchmarkVisitNeighbors(b *testing.B) {
 	b.Run("cell", func(b *testing.B) {
 		_, ch, radios := benchCell(64)
@@ -138,13 +157,14 @@ func BenchmarkVisitNeighbors(b *testing.B) {
 	})
 	for _, tc := range fieldCases {
 		b.Run(tc.name, func(b *testing.B) {
-			_, ch, radios := benchField(tc.mobile)
+			_, ch, radios := benchField(tc)
 			count := 0
 			visit := func(NodeID) { count++ }
+			t0 := tc.firstQuery(b.N, sim.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ch.VisitNeighbors(radios[i%len(radios)], sim.Time(i)*sim.Millisecond, visit)
+				ch.VisitNeighbors(radios[i%len(radios)], t0+sim.Time(i)*sim.Millisecond, visit)
 			}
 		})
 	}
@@ -154,16 +174,17 @@ func BenchmarkVisitNeighbors(b *testing.B) {
 var benchCount int
 
 // BenchmarkCountNeighbors measures the lottery's neighbor count (P_R =
-// 1/neighbors) on the 100-node paper field, queried every simulated
-// millisecond.
+// 1/neighbors) on each variant of the 100-node paper field, queried every
+// simulated millisecond.
 func BenchmarkCountNeighbors(b *testing.B) {
 	for _, tc := range fieldCases {
 		b.Run(tc.name, func(b *testing.B) {
-			_, ch, radios := benchField(tc.mobile)
+			_, ch, radios := benchField(tc)
+			t0 := tc.firstQuery(b.N, sim.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchCount += ch.CountNeighbors(radios[i%len(radios)], sim.Time(i)*sim.Millisecond)
+				benchCount += ch.CountNeighbors(radios[i%len(radios)], t0+sim.Time(i)*sim.Millisecond)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	bits64 "math/bits"
 
 	"rcast/internal/geom"
-	"rcast/internal/sim"
 )
 
 // grid is a uniform spatial index over radio positions at one instant,
@@ -47,10 +46,10 @@ func (g *grid) keyFor(p geom.Point) gridKey {
 	}
 }
 
-// rebin rebuilds every bin from radio positions at instant now. Radios are
-// visited in registration order, so each cell's index run is ascending.
-func (g *grid) rebin(radios []*Radio, now sim.Time) {
-	n := len(radios)
+// rebin rebuilds every bin from the radios' positions, given in
+// registration order, so each cell's index run is ascending.
+func (g *grid) rebin(pos []geom.Point) {
+	n := len(pos)
 	g.n = n
 	if n == 0 {
 		g.w, g.h = 0, 0
@@ -62,15 +61,15 @@ func (g *grid) rebin(radios []*Radio, now sim.Time) {
 	ks := g.keys[:n]
 	if n <= gridScanThreshold {
 		// Small population: queries scan the keys directly, no CSR needed.
-		for i, r := range radios {
-			ks[i] = g.keyFor(r.Position(now))
+		for i, p := range pos {
+			ks[i] = g.keyFor(p)
 		}
 		return
 	}
 	minX, minY := int32(math.MaxInt32), int32(math.MaxInt32)
 	maxX, maxY := int32(math.MinInt32), int32(math.MinInt32)
-	for i, r := range radios {
-		k := g.keyFor(r.Position(now))
+	for i, p := range pos {
+		k := g.keyFor(p)
 		ks[i] = k
 		minX, maxX = min(minX, k.cx), max(maxX, k.cx)
 		minY, maxY = min(minY, k.cy), max(maxY, k.cy)

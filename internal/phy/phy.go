@@ -197,7 +197,8 @@ type Channel struct {
 	// decodability is dist <= rangeM, which the reach lists settle for
 	// most candidates without computing dist at all. With a model
 	// installed, maxRange caches prop.MaxRange() as the lists' reach and
-	// every candidate within it gets its exact distance for Decodable;
+	// every candidate within it gets its exact distance for Decodable —
+	// from d0 when neither radio has moved since the lists were built;
 	// chanReplay, when set, substitutes the recorded channel-loss stream
 	// for the model's transmit-time verdicts (internal/replay).
 	prop       Propagation
@@ -260,11 +261,11 @@ func NewChannel(sched *sim.Scheduler, rangeM float64) *Channel {
 
 // SetMotionBound declares an upper bound on how fast any radio on this
 // channel moves (metres per simulated second; 0 means every radio is
-// stationary). It decides how long the reach lists stay valid: without a
-// declared bound they are rebuilt at every new query instant. The bound
-// must hold for the whole run — the lists settle verdicts from it, so
-// their answers are identical to the exhaustive scan only as long as it
-// does.
+// stationary). It decides how long the reach lists stay valid once a
+// radio has moved: without a declared bound they are rebuilt at every new
+// query instant at which one has. The bound must hold for the whole run —
+// the lists settle verdicts from it, so their answers are identical to
+// the exhaustive scan only as long as it does.
 func (c *Channel) SetMotionBound(maxSpeedMps float64) {
 	if maxSpeedMps < 0 {
 		maxSpeedMps = 0
@@ -578,32 +579,35 @@ type Radio struct {
 	// unaffected — only how far this radio's own frames carry.
 	txScale float64
 
-	// Single-instant position cache: one transmission (or neighbor query)
-	// asks many radios for their position at the same now, and mobility
-	// models answer by binary-searching a trajectory; caching the latest
-	// instant makes repeated same-instant queries free. Mobility models are
-	// pure functions of time, so the cache can never go stale.
-	posAt sim.Time
-	pos   geom.Point
-	posOK bool
+	// Position cache: pos is the position at every instant of [posFrom,
+	// posUntil). One transmission (or neighbor query) asks many radios for
+	// their position at the same now, and mobility models answer by
+	// binary-searching a trajectory; a query caches its own instant, and a
+	// reach-list build widens that to the model's still interval, so a
+	// pausing radio answers without its model. Mobility models are pure
+	// functions of time, so the cache can never go stale.
+	posFrom, posUntil sim.Time
+	pos               geom.Point
 }
 
 // ID returns the owning node's ID.
 func (r *Radio) ID() NodeID { return r.id }
 
+// Mobility returns the radio's mobility model.
+func (r *Radio) Mobility() mobility.Model { return r.mob }
+
 // SetReceiver registers the MAC upcall.
 func (r *Radio) SetReceiver(rc Receiver) { r.recv = rc }
 
-// Position returns the radio position at now. The most recent instant is
-// cached, so the mobility model is evaluated at most once per radio per
-// instant.
+// Position returns the radio position at now. The cache answers repeated
+// queries at one instant, and any instant of a still interval a reach-list
+// build saw, without evaluating the mobility model.
 func (r *Radio) Position(now sim.Time) geom.Point {
-	if r.posOK && r.posAt == now {
+	if now >= r.posFrom && now < r.posUntil {
 		return r.pos
 	}
-	p := r.mob.PositionAt(now)
-	r.posAt, r.pos, r.posOK = now, p, true
-	return p
+	r.pos, r.posFrom, r.posUntil = r.mob.PositionAt(now), now, now+1
+	return r.pos
 }
 
 // SetTxRangeScale sets the factor this radio's transmissions stretch the

@@ -17,7 +17,13 @@ func buildChannel(seed int64, model string, sigma float64, n int, maxSpeed float
 	sched := sim.NewScheduler()
 	const rangeM = 250.0
 	ch := phy.NewChannel(sched, rangeM)
-	ch.SetMotionBound(maxSpeed)
+	// The waypoints below never go slower than MinSpeed = 1 m/s, so that
+	// is the least bound that holds.
+	if maxSpeed > 0 {
+		ch.SetMotionBound(max(maxSpeed, 1))
+	} else {
+		ch.SetMotionBound(0)
+	}
 	m, err := propagation.Parse(model, rangeM, sigma, sim.DeriveSeed(seed, "prop"))
 	if err != nil {
 		return nil, nil, nil, err

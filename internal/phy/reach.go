@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rcast/internal/geom"
+	"rcast/internal/mobility"
 	"rcast/internal/sim"
 )
 
@@ -11,22 +12,29 @@ import (
 // CountNeighbors — walks the querying radio's reach list instead of
 // scanning for candidates. A radio's list holds, in registration order,
 // every other radio within its reach plus a skin at the build instant,
-// each with its distance d0 at that instant. With a declared motion bound
-// v, no pair's distance can have moved more than drift = 2·v·|now − built|
-// since, so an entry is
+// each with its distance d0 at that instant.
 //
-//   - certainly in when d0 ≤ reach − drift − reachEps,
-//   - certainly out when d0 > reach + drift + reachEps,
+// Each radio is anchored at its build position together with its still
+// span: the instants over which its mobility model reports that position
+// bitwise (mobility.Stiller), at least the build instant itself. A radio
+// queried inside its span has not moved and has drift 0; outside it, with
+// a declared motion bound v, it has drift v·(time since it left the span).
+// An entry whose two radios both have drift 0 is decided by d0 alone,
+// which is then bitwise the exact distance. Any other entry, with margin
+// drift_i + drift_j + reachEps, is
+//
+//   - certainly in when d0 ≤ reach − margin,
+//   - certainly out when d0 > reach + margin,
 //   - and exact-checked in the band between, with the same distance
 //     expression the exhaustive scan used.
 //
-// The lists are rebuilt, all at once and only at a query, once the drift
+// The lists are rebuilt, only at a query, once the two largest drifts
 // plus reachEps could exceed the skin: until then no radio outside a list
-// can have come within reach. At the build instant itself, and forever on
-// a static channel (v = 0), d0 is bitwise the exact distance, so every
-// entry is decided by it. An undeclared bound is infinite drift: the lists
-// are rebuilt at every new query instant and decided by d0 there. See
-// DESIGN.md §20.
+// can have come within reach. A rebuild keeps every pair of radios that
+// have not moved, with its d0, and recomputes only the pairs of those
+// that have. A static channel (v = 0) never rebuilds. An undeclared bound
+// is infinite drift: a radio that moves forces a rebuild at the next new
+// query instant. See DESIGN.md §20.
 
 // reachEps (metres) widens the band around the reach so that rounding in
 // positions, distances and the drift bound cannot turn a certain verdict
@@ -38,17 +46,106 @@ const reachEps = 1e-6
 // with wider bands. 1/8 measured fastest on the mobile paper cell.
 const skinFrac = 1.0 / 8
 
-// reachLists is every radio's reach list in CSR form: radio i's entries
-// are idx[start[i]:start[i+1]], ascending, with distances d0 alongside.
+// ReachStats counts the reach lists' work. The counts follow the queries a
+// run makes, so they are as deterministic as the run; they are kept apart
+// from Stats so that no Result carries them.
+type ReachStats struct {
+	Builds     uint64 // full builds: every radio's row from scratch
+	Rebuilds   uint64 // drift-triggered rebuilds, redoing only movers' pairs
+	Recomputed uint64 // pair distances computed by builds and rebuilds
+	Walked     uint64 // list entries visited by queries that walked a row
+	Exact      uint64 // entries decided by a freshly computed distance
+	Settled    uint64 // queries answered by an in-reach run without a walk
+}
+
+// ReachStats returns the reach lists' work counters.
+func (c *Channel) ReachStats() ReachStats { return c.lists.stats }
+
+// span is a closed interval of instants.
+type span struct{ lo, hi sim.Time }
+
+func (s span) holds(t sim.Time) bool { return s.lo <= t && t <= s.hi }
+
+func (s span) meet(o span) span { return span{max(s.lo, o.lo), min(s.hi, o.hi)} }
+
+// still is the span over which a radio holds its anchor, with both ends
+// also as v·seconds for the channel's motion bound v, so that a query
+// prices a radio's drift with one subtraction.
+type still struct {
+	span
+	vlo, vhi float64
+}
+
+func stillOver(s span, v float64) still { return still{s, v * s.lo.Seconds(), v * s.hi.Seconds()} }
+
+var forever = span{math.MinInt64, math.MaxInt64}
+
+// drift bounds how far a radio anchored over s can be from its anchor at
+// now, given vnow = v·now in seconds.
+func (s *still) drift(now sim.Time, vnow float64) float64 {
+	switch {
+	case now > s.hi:
+		return vnow - s.vhi
+	case now < s.lo:
+		return s.vlo - vnow
+	}
+	return 0
+}
+
+// entry is one listed pair: the other radio and the distance d0.
+type entry struct {
+	j int32
+	d float64
+}
+
+// rows is a set of reach-list rows in CSR form: row i is idx[start[i]:
+// start[i+1]], ascending, with the distances d0 alongside.
+type rows struct {
+	start, idx []int32
+	d0         []float64
+}
+
+func (r *rows) reset() { r.start, r.idx, r.d0 = r.start[:0], r.idx[:0], r.d0[:0] }
+
+func (r *rows) add(j int32, d float64) {
+	r.idx = append(r.idx, j)
+	r.d0 = append(r.d0, d)
+}
+
+func (r *rows) row(i int) ([]int32, []float64) {
+	s, e := r.start[i], r.start[i+1]
+	return r.idx[s:e], r.d0[s:e]
+}
+
+// reachLists is every radio's reach list, and each row's in-reach run:
+// its entries with d0 within the radio's reach.
 type reachLists struct {
-	valid   bool
-	builtAt sim.Time
-	skin    float64 // metres past each radio's reach the lists extend
-	start   []int32
-	idx     []int32
-	d0      []float64
-	g       grid    // spatial index for builds
-	cand    []int32 // scratch: grid candidates of one radio
+	valid bool
+	skin  float64 // metres past each radio's reach the lists extend
+	list  rows
+	in    rows
+	spare rows // the previous build's rows, reused by the next
+
+	// Per radio: its position at the last build, the span over which it
+	// holds that position, its reach plus the skin, and the span over
+	// which it and every radio in its row all hold — where its in-reach
+	// run is its answer.
+	pos     []geom.Point
+	still   []still
+	limit   []float64
+	settled []still
+	// The two largest span starts and the two smallest span ends among
+	// all radios: the two largest drifts, before and after the last build.
+	top      [2]still
+	maxLimit float64
+
+	stats ReachStats
+
+	g      grid      // spatial index for builds
+	cand   []int32   // scratch: grid candidates of one radio
+	moved  []bool    // scratch: radios re-anchored by this build
+	fresh  rows      // scratch: the movers' rows
+	joined [][]entry // scratch: movers joining each unmoved row
 }
 
 // reach returns how far r's transmissions carry: the decode radius, or the
@@ -60,61 +157,180 @@ func (c *Channel) reach(r *Radio) float64 {
 	return c.rangeM * r.txScale
 }
 
-// listMargin returns how far any pair's distance at now may differ from
-// its listed d0, rebuilding the lists first when they are invalid or the
-// drift since their build could exceed the skin.
-func (c *Channel) listMargin(now sim.Time) float64 {
+// refreshLists builds the lists when they are invalid, and rebuilds them
+// when the drift some pair could have accumulated since the last build
+// might exceed the skin.
+func (c *Channel) refreshLists(now sim.Time) {
 	l := &c.lists
-	if l.valid {
-		if now == l.builtAt || c.motionBound == 0 {
-			return 0
-		}
-		dt := now - l.builtAt
-		if dt < 0 {
-			dt = -dt
-		}
-		if m := 2*c.motionBound*dt.Seconds() + reachEps; m <= l.skin {
-			return m
-		}
+	if !l.valid {
+		c.buildLists(now, true)
+		return
 	}
-	c.buildLists(now)
-	return 0
+	vnow := c.motionBound * now.Seconds()
+	if d := l.top[0].drift(now, vnow) + l.top[1].drift(now, vnow); d != 0 && !(d+reachEps <= l.skin) {
+		c.buildLists(now, false)
+	}
 }
 
-// buildLists rebuilds every radio's reach list from positions at now.
-func (c *Channel) buildLists(now sim.Time) {
+// buildLists rebuilds the lists at now. A full build anchors every radio
+// afresh; otherwise only the radios whose still span ended re-anchor, and
+// only pairs involving one of them get a new distance. Either way the rows
+// come out as a full build at now would make them: for a pair of radios
+// that both hold their anchors, the old d0 is the distance at now.
+func (c *Channel) buildLists(now sim.Time, full bool) {
 	l := &c.lists
-	l.valid, l.builtAt = true, now
-	nominal := c.rangeM
-	if c.prop != nil {
-		nominal = c.maxRange
+	n := len(c.radios)
+	v := c.motionBound
+	if full {
+		l.valid = true
+		l.stats.Builds++
+		nominal := c.rangeM
+		if c.prop != nil {
+			nominal = c.maxRange
+		}
+		l.skin = 0
+		if v > 0 && !math.IsInf(v, 1) {
+			l.skin = skinFrac * nominal
+		}
+		l.g.cell = nominal
+		if !(l.g.cell > 0) {
+			l.g.cell = 1
+		}
+		l.pos = resize(l.pos, n)
+		l.still = resize(l.still, n)
+		l.limit = resize(l.limit, n)
+		l.settled = resize(l.settled, n)
+		l.moved = resize(l.moved, n)
+		l.joined = resize(l.joined, n)
+		l.maxLimit = 0
+		for i, r := range c.radios {
+			l.limit[i] = c.reach(r) + l.skin
+			l.maxLimit = max(l.maxLimit, l.limit[i])
+		}
+	} else {
+		l.stats.Rebuilds++
 	}
-	l.skin = 0
-	if v := c.motionBound; v > 0 && !math.IsInf(v, 1) {
-		l.skin = skinFrac * nominal
-	}
-	l.g.cell = nominal
-	if !(l.g.cell > 0) {
-		l.g.cell = 1
-	}
-	l.g.rebin(c.radios, now)
-	l.start, l.idx, l.d0 = l.start[:0], l.idx[:0], l.d0[:0]
+
+	// Re-anchor the movers, and find the spans that end first and start
+	// last. On a channel declared static every radio holds forever.
+	los := [2]sim.Time{math.MinInt64, math.MinInt64}
+	his := [2]sim.Time{math.MaxInt64, math.MaxInt64}
 	for i, r := range c.radios {
-		l.start = append(l.start, int32(len(l.idx)))
-		p := r.Position(now)
-		limit := c.reach(r) + l.skin
-		l.cand = l.g.candidates(p, limit, l.cand)
-		for _, j := range l.cand {
-			if int(j) == i {
+		l.moved[i] = full || !l.still[i].holds(now)
+		if l.moved[i] {
+			s := forever
+			if v == 0 {
+				l.pos[i] = r.Position(now)
+			} else {
+				l.pos[i], s = r.anchor(now)
+			}
+			l.still[i] = stillOver(s, v)
+		}
+		s := l.still[i].span
+		if s.lo > los[0] {
+			los[0], los[1] = s.lo, los[0]
+		} else if s.lo > los[1] {
+			los[1] = s.lo
+		}
+		if s.hi < his[0] {
+			his[0], his[1] = s.hi, his[0]
+		} else if s.hi < his[1] {
+			his[1] = s.hi
+		}
+	}
+	for k := range l.top {
+		l.top[k] = stillOver(span{los[k], his[k]}, v)
+	}
+
+	// The movers' rows, and the movers joining each unmoved row: one grid
+	// search per mover, wide enough for any radio's limit. DistanceTo is
+	// symmetric bitwise, so one distance serves both directions.
+	l.g.rebin(l.pos)
+	l.fresh.reset()
+	for i := range l.joined {
+		l.joined[i] = l.joined[i][:0]
+	}
+	for j := range c.radios {
+		if !l.moved[j] {
+			continue
+		}
+		l.fresh.start = append(l.fresh.start, int32(len(l.fresh.idx)))
+		p := l.pos[j]
+		l.cand = l.g.candidates(p, l.maxLimit, l.cand)
+		for _, i := range l.cand {
+			if int(i) == j {
 				continue
 			}
-			if d := p.DistanceTo(c.radios[j].Position(now)); d <= limit {
-				l.idx = append(l.idx, j)
-				l.d0 = append(l.d0, d)
+			d := p.DistanceTo(l.pos[i])
+			l.stats.Recomputed++
+			if d <= l.limit[j] {
+				l.fresh.add(i, d)
+			}
+			if !l.moved[i] && d <= l.limit[i] {
+				l.joined[i] = append(l.joined[i], entry{int32(j), d})
 			}
 		}
 	}
-	l.start = append(l.start, int32(len(l.idx)))
+	l.fresh.start = append(l.fresh.start, int32(len(l.fresh.idx)))
+
+	// Emit every row in registration order: a mover's fresh row, or an
+	// unmoved radio's old entries for unmoved radios merged with the
+	// movers that joined it.
+	old := l.list
+	next := l.spare
+	next.reset()
+	l.in.reset()
+	mover := 0
+	for i := range c.radios {
+		next.start = append(next.start, int32(len(next.idx)))
+		if l.moved[i] {
+			idx, d0 := l.fresh.row(mover)
+			mover++
+			next.idx = append(next.idx, idx...)
+			next.d0 = append(next.d0, d0...)
+		} else {
+			idx, d0 := old.row(i)
+			join := l.joined[i]
+			a, b := 0, 0
+			for a < len(idx) || b < len(join) {
+				if b == len(join) || (a < len(idx) && idx[a] < join[b].j) {
+					if !l.moved[idx[a]] {
+						next.add(idx[a], d0[a])
+					}
+					a++
+				} else {
+					next.add(join[b].j, join[b].d)
+					b++
+				}
+			}
+		}
+	}
+	next.start = append(next.start, int32(len(next.idx)))
+	l.list, l.spare = next, old
+
+	// Each row's in-reach run and settled span.
+	for i, r := range c.radios {
+		reach := c.reach(r)
+		settled := l.still[i].span
+		l.in.start = append(l.in.start, int32(len(l.in.idx)))
+		idx, d0 := l.list.row(i)
+		for k, j := range idx {
+			settled = settled.meet(l.still[j].span)
+			if d0[k] <= reach {
+				l.in.add(j, d0[k])
+			}
+		}
+		l.settled[i] = stillOver(settled, v)
+	}
+	l.in.start = append(l.in.start, int32(len(l.in.idx)))
+}
+
+// resize returns s with length n, reusing its storage when it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // reached returns the indices (into c.radios) of every other radio within
@@ -123,32 +339,48 @@ func (c *Channel) buildLists(now sim.Time) {
 // scratch or in the lists themselves: callers must not modify them, and
 // must not query the channel while walking them.
 func (c *Channel) reached(tx *Radio, now sim.Time) (idx []int32, dist []float64) {
-	margin := c.listMargin(now)
+	c.refreshLists(now)
 	l := &c.lists
-	reach := c.reach(tx)
-	lo, hi := reach-margin, reach+margin
-	model := c.prop != nil
-	s, e := l.start[tx.idx], l.start[tx.idx+1]
-	if margin == 0 && l.skin == 0 {
-		// Every entry is within reach, at exactly its d0: the list is the
-		// answer.
-		return l.idx[s:e], l.d0[s:e]
+	i := int(tx.idx)
+	if l.settled[i].holds(now) {
+		// Neither tx nor any radio in its list has moved: the in-reach
+		// run is the answer, at exactly its d0.
+		l.stats.Settled++
+		return l.in.row(i)
 	}
-	d0s := l.d0[s:e]
+	// The row's own drift bounds every entry's, so its margin settles most
+	// entries at a glance; only those in its band price their own.
+	vnow := c.motionBound * now.Seconds()
+	reach := c.reach(tx)
+	dtx := l.still[i].drift(now, vnow)
+	rowM := dtx + l.settled[i].drift(now, vnow) + reachEps
+	lo, hi := reach-rowM, reach+rowM
+	model := c.prop != nil
+	list, d0s := l.list.row(i)
+	l.stats.Walked += uint64(len(list))
 	hits, dist := c.hits[:0], c.hitDist[:0]
 	var p geom.Point
 	posOK := false
-	for k, j := range l.idx[s:e] {
+	for k, j := range list {
 		d := d0s[k]
 		if d > hi {
 			continue
 		}
-		if margin > 0 && (model || d > lo) {
-			if !posOK {
-				p, posOK = tx.Position(now), true
-			}
-			if d = p.DistanceTo(c.radios[j].Position(now)); d > reach {
+		if model || !(d <= lo) {
+			if m := dtx + l.still[j].drift(now, vnow); m == 0 {
+				if d > reach {
+					continue
+				}
+			} else if m += reachEps; d > reach+m {
 				continue
+			} else if model || !(d <= reach-m) {
+				if !posOK {
+					p, posOK = tx.Position(now), true
+				}
+				l.stats.Exact++
+				if d = p.DistanceTo(c.radios[j].Position(now)); d > reach {
+					continue
+				}
 			}
 		}
 		hits = append(hits, j)
@@ -178,4 +410,13 @@ func (c *Channel) neighbors(r *Radio, now sim.Time) []int32 {
 	}
 	c.hits = kept
 	return kept
+}
+
+// anchor returns r's position at now and the span over which its model
+// reports that position, widening r's position cache to the span.
+func (r *Radio) anchor(now sim.Time) (geom.Point, span) {
+	p := r.Position(now)
+	from, until := mobility.StillInterval(r.mob, now)
+	r.posFrom, r.posUntil = from, until
+	return p, span{from, until - 1}
 }

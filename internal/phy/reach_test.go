@@ -23,10 +23,67 @@ func (m linear) PositionAt(t sim.Time) geom.Point {
 	return geom.Point{X: m.p0.X + m.vel.X*s, Y: m.p0.Y + m.vel.Y*s}
 }
 
+// scripted takes turns holding still and moving: leg k begins at
+// starts[k] (the first at the dawn of time) at point at[k], and moves at
+// vel[k] unless that is zero. A moving leg has a nanosecond's motion on it
+// already at its first instant, so a radio taken as still one instant past
+// its still interval is somewhere else.
+type scripted struct {
+	starts  []sim.Time
+	at, vel []geom.Point
+}
+
+// script returns a radio that holds still at p and, from each boundary on
+// in turn, moves at vel or holds still where that left it.
+func script(p, vel geom.Point, bounds ...sim.Time) *scripted {
+	m := &scripted{starts: []sim.Time{math.MinInt64}, at: []geom.Point{p}, vel: []geom.Point{{}}}
+	for i, b := range bounds {
+		v := vel
+		if i%2 == 1 {
+			v = geom.Point{}
+		}
+		m.at = append(m.at, m.PositionAt(b-1))
+		m.starts = append(m.starts, b)
+		m.vel = append(m.vel, v)
+	}
+	return m
+}
+
+func (m *scripted) leg(t sim.Time) int {
+	k := 0
+	for k+1 < len(m.starts) && m.starts[k+1] <= t {
+		k++
+	}
+	return k
+}
+
+func (m *scripted) PositionAt(t sim.Time) geom.Point {
+	k := m.leg(t)
+	if m.vel[k] == (geom.Point{}) {
+		return m.at[k]
+	}
+	s := (t - m.starts[k] + 1).Seconds()
+	return geom.Point{X: m.at[k].X + m.vel[k].X*s, Y: m.at[k].Y + m.vel[k].Y*s}
+}
+
+func (m *scripted) StillInterval(t sim.Time) (from, until sim.Time) {
+	k := m.leg(t)
+	if m.vel[k] != (geom.Point{}) {
+		return t, t + 1
+	}
+	until = math.MaxInt64
+	if k+1 < len(m.starts) {
+		until = m.starts[k+1]
+	}
+	return m.starts[k], until
+}
+
 // bruteReach is the exhaustive scan the reach lists replace: the radios a
 // transmission from r at now reaches, and those of them that decode it.
+// Positions come from the mobility models themselves, past any cache the
+// channel keeps.
 func bruteReach(ch *phy.Channel, m phy.Propagation, r *phy.Radio, now sim.Time) (reached, decoded []phy.NodeID) {
-	p := r.Position(now)
+	p := r.Mobility().PositionAt(now)
 	s := r.TxRangeScale()
 	reach := ch.Range() * s
 	if m != nil {
@@ -36,7 +93,7 @@ func bruteReach(ch *phy.Channel, m phy.Propagation, r *phy.Radio, now sim.Time) 
 		if o == r {
 			continue
 		}
-		d := p.DistanceTo(o.Position(now))
+		d := p.DistanceTo(o.Mobility().PositionAt(now))
 		if d > reach {
 			continue
 		}
@@ -115,10 +172,13 @@ func checkTransmit(t *testing.T, ch *phy.Channel, sched *sim.Scheduler, m phy.Pr
 // FuzzReachLists drives the reach lists against the exhaustive scan where
 // their shortcuts are most likely to slip: pairs whose distance crosses the
 // reach within a few ulps of a query instant, at a pair drift just below
-// and just above the skin, queries before the build instant, a model,
-// transmit scales and registrations changed after the first query, static
-// and mobile channels (the motion bound declared or not), and the disk
-// fast path as well as the propagation models.
+// and just above the skin, pairs at the reach whose pause ends within a
+// nanosecond of a query instant, radios that pause and move in turn and
+// are queried in a different still interval than the build saw, queries
+// before the build instant, a model, transmit scales and registrations
+// changed after the first query, static and mobile channels (the motion
+// bound declared or not), and the disk fast path as well as the
+// propagation models.
 func FuzzReachLists(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(0), 20.0, true)
 	f.Add(int64(2), uint8(30), uint8(1), 20.0, true)
@@ -166,7 +226,7 @@ func FuzzReachLists(f *testing.F) {
 		probes := []sim.Time{t0, t0 - sim.Millisecond, t0 + 1, t0 + sim.Millisecond}
 		if v > 0 {
 			crit := sim.FromSeconds((phy.SkinFrac*reach - phy.ReachEps) / (2 * v))
-			probes = append(probes, t0+crit/2, t0+crit-1, t0+crit, t0+crit+1, t0-min(crit/2, t0))
+			probes = append(probes, t0+crit/2, t0+crit-1, t0+crit, t0+crit+1, t0+3*crit/2, t0-min(crit/2, t0))
 		}
 
 		// Pairs that cross the reach within a few ulps of a probe: one
@@ -189,7 +249,36 @@ func FuzzReachLists(f *testing.F) {
 				y += 1.5 * reach // keep the pairs out of each other's reach
 			}
 		}
-		// A random crowd around the pairs, some at non-nominal power.
+		// A pair closing at 2v from a metre outside each other's lists:
+		// only the sum of both radios' drifts, not the larger alone, sees
+		// it within reach by the time each has moved 3/4 of the skin.
+		if v > 0 {
+			gap := reach + phy.SkinFrac*reach + 1 + 2*v*t0.Seconds()
+			add(linear{p0: geom.Point{Y: y}, vel: geom.Point{X: v}})
+			add(linear{p0: geom.Point{X: gap, Y: y}, vel: geom.Point{X: -v}})
+			y += 1.5 * reach
+		}
+		// Pairs at exactly the reach, or an ulp past it, where one radio
+		// stops pausing within a nanosecond of a probe — moving away from
+		// the other or towards it — and pauses again a millisecond later,
+		// so later probes query a still interval the build did not see.
+		// Under an undeclared bound the movers may go at any speed.
+		sv := v
+		if !declare && sv == 0 {
+			sv = 20
+		}
+		for _, tq := range probes {
+			for k := sim.Time(-1); k <= 1; k++ {
+				add(script(geom.Point{Y: y}, geom.Point{X: -sv}, tq+k, tq+k+sim.Millisecond))
+				add(mobility.Static{P: geom.Point{X: reach, Y: y}})
+				y += 1.5 * reach
+				add(script(geom.Point{Y: y}, geom.Point{X: sv}, tq+k, tq+k+sim.Millisecond))
+				add(mobility.Static{P: geom.Point{X: math.Nextafter(reach, math.Inf(1)), Y: y}})
+				y += 1.5 * reach
+			}
+		}
+		// A random crowd around the pairs, some pausing and moving in
+		// turn, some at non-nominal power.
 		for i := 0; i < 4+int(n%60); i++ {
 			p := geom.Point{X: 1500 * rng.Float64(), Y: y * rng.Float64()}
 			a := 2 * math.Pi * rng.Float64()
@@ -197,7 +286,14 @@ func FuzzReachLists(f *testing.F) {
 			if rng.Intn(2) == 0 {
 				sp *= rng.Float64()
 			}
-			r := add(linear{p0: p, vel: geom.Point{X: sp * math.Cos(a), Y: sp * math.Sin(a)}})
+			vel := geom.Point{X: sp * math.Cos(a), Y: sp * math.Sin(a)}
+			var mob mobility.Model = linear{p0: p, vel: vel}
+			if rng.Intn(3) == 0 {
+				at := func() sim.Time { return probes[rng.Intn(len(probes))] + sim.Time(rng.Intn(3)-1) }
+				b1, b2 := at(), at()
+				mob = script(p, vel, min(b1, b2), max(b1, b2)+1)
+			}
+			r := add(mob)
 			if rng.Intn(4) == 0 {
 				r.SetTxRangeScale([]float64{0.5, 1.5, 2}[rng.Intn(3)])
 			}
@@ -235,4 +331,34 @@ func FuzzReachLists(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRebuildsFollowTheMovers pins what a rebuild costs when few radios
+// move: among 40 static radios one moves, and the rebuild its drift
+// forces computes distances for its own pairs only, while every answer
+// still matches the exhaustive scan.
+func TestRebuildsFollowTheMovers(t *testing.T) {
+	const n = 40
+	sched := sim.NewScheduler()
+	ch := phy.NewChannel(sched, 250)
+	ch.SetMotionBound(20)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		ch.AddRadio(phy.NodeID(i), mobility.Static{P: geom.Point{X: 1500 * rng.Float64(), Y: 300 * rng.Float64()}})
+	}
+	ch.AddRadio(n, linear{p0: geom.Point{X: 750, Y: 150}, vel: geom.Point{X: 20}})
+	checkQueries(t, ch, nil, 0)
+	built := ch.ReachStats()
+	// 2 s at 20 m/s is 40 m, past the skin of R/8 = 31.25 m.
+	checkQueries(t, ch, nil, 2*sim.Second)
+	st := ch.ReachStats()
+	if st.Builds != 1 || st.Rebuilds != 1 {
+		t.Fatalf("got %d builds and %d rebuilds, want 1 and 1", st.Builds, st.Rebuilds)
+	}
+	if got := st.Recomputed - built.Recomputed; got == 0 || got > n {
+		t.Fatalf("the rebuild computed %d distances, want the mover's pairs only (at most %d)", got, n)
+	}
+	if st.Settled == built.Settled {
+		t.Fatal("no query was answered by an in-reach run after the rebuild")
+	}
 }

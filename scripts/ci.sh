@@ -35,6 +35,7 @@ go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
 go test -run '^$' -fuzz 'FuzzReachLists' -fuzztime 10s ./internal/phy
+go test -run '^$' -fuzz 'FuzzStillIntervals' -fuzztime 10s ./internal/mobility
 go test -run '^$' -fuzz 'FuzzFadingVerdict' -fuzztime 10s ./internal/propagation
 go test -run '^$' -fuzz 'FuzzDecodeConfig' -fuzztime 10s ./internal/scenario
 
