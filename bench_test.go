@@ -374,6 +374,23 @@ func benchmarkFullRun(b *testing.B, scheme rcast.Scheme) {
 	}
 }
 
+// BenchmarkWorldSetup measures wiring the paper's 100-node world: a
+// zero-length run of PaperDefaults (traffic from t=0, 1 ms of simulated
+// time), the build whose median is the benchmark's setup_s. Per-node RNG
+// streams are most of it (DESIGN.md §14, "Seeding without divisions").
+func BenchmarkWorldSetup(b *testing.B) {
+	cfg := rcast.PaperDefaults()
+	cfg.TrafficStart = 0
+	cfg.Duration = rcast.Millisecond
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rcast.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkChannelTransmit measures one broadcast through the channel at
 // fixed node density (the paper's ~4500 m²/node) for growing node counts.
 // With the spatial grid, cost per transmission tracks the neighbor count,

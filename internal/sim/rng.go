@@ -18,9 +18,111 @@ func DeriveSeed(base int64, name string) int64 {
 }
 
 // Stream returns a new pseudo-random stream for the given base seed and
-// name. Streams with distinct names are statistically independent.
+// name. Its draws are exactly those of a math/rand source seeded with
+// DeriveSeed(base, name), only seeded faster (see source).
+//
+// Streams with distinct names are independent only up to a 31-bit seed:
+// the generator keeps just DeriveSeed's value mod 2³¹−1, so two names
+// collide — draw for draw the same stream — with probability 2⁻³¹ per
+// pair (DESIGN.md §14, "Seeding without divisions").
 func Stream(base int64, name string) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(base, name))) //nolint:gosec // simulation, not crypto
+	s := new(source)
+	s.Seed(DeriveSeed(base, name))
+	return rand.New(s)
+}
+
+const (
+	rngLen   = 607
+	rngTap   = 273
+	rngMask  = 1<<63 - 1
+	int32max = 1<<31 - 1 // the Mersenne prime 2³¹−1
+)
+
+// source is math/rand's generator, reimplemented so that seeding is fast:
+// the additive lagged Fibonacci generator x[n] = x[n−607] + x[n−273] over
+// 64-bit words, with math/rand's Int63/Uint64 step and its seeding rule.
+// Go's compatibility promise freezes both, and TestStreamMatchesMathRand
+// holds this copy to math/rand's own source draw for draw.
+//
+// math/rand seeds by running x ← 48271·x mod (2³¹−1) 1,841 times, one
+// chained Schrage division per step. The k-th value is simply
+// 48271ᵏ·seed mod (2³¹−1), so Seed multiplies the reduced seed by
+// precomputed powers (seedPow) and folds each product mod the Mersenne
+// prime. The 1,821 products are independent of one another, and no
+// division remains.
+type source struct {
+	tap, feed int
+	vec       [rngLen]int64
+}
+
+// seedPow[i] holds the three multipliers 48271ᵏ mod (2³¹−1) that seed
+// state slot i: k = 21+3i, 22+3i and 23+3i, after math/rand's 20 warm-up
+// steps. They are the seeding sequence of seed 1. Each fits 31 bits;
+// 32-bit entries halve the table to 7.3 KB, and first-touch page faults
+// on it are most of its cost at package init.
+var seedPow = func() (p [rngLen][3]uint32) {
+	x := uint64(1)
+	for range 20 {
+		x = mulMod(x, 48271)
+	}
+	for i := range p {
+		for j := range p[i] {
+			x = mulMod(x, 48271)
+			p[i][j] = uint32(x)
+		}
+	}
+	return p
+}()
+
+// mulMod returns a·x mod (2³¹−1) for a, x in [1, 2³¹−2]. The product is
+// below 2⁶², and one Mersenne fold leaves a value in [1, 2·(2³¹−1)) that
+// is congruent to it and never 2³¹−1 itself (the modulus is prime);
+// min(r, r−M) then subtracts M exactly when r > M, without a branch.
+func mulMod(a, x uint64) uint64 {
+	p := a * x
+	r := p&int32max + p>>31
+	return min(r, r-int32max)
+}
+
+// Seed sets the state exactly as math/rand's rngSource.Seed does: reduce
+// the seed mod 2³¹−1 (0 becomes 89482311), then fill slot i with the
+// seeding values 21+3i..23+3i packed as v₁<<40 ^ v₂<<20 ^ v₃, XORed with
+// math/rand's seeding table.
+func (s *source) Seed(seed int64) {
+	s.tap, s.feed = 0, rngLen-rngTap
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint64(seed)
+	for i := range s.vec {
+		p := &seedPow[i]
+		u := mulMod(uint64(p[0]), x)<<40 ^ mulMod(uint64(p[1]), x)<<20 ^ mulMod(uint64(p[2]), x)
+		s.vec[i] = int64(u) ^ rngCooked[i] //nolint:gosec // bit pattern
+	}
+}
+
+// Uint64 advances the generator one step, as math/rand does.
+func (s *source) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x) //nolint:gosec // bit pattern
+}
+
+// Int63 returns the next step's low 63 bits.
+func (s *source) Int63() int64 {
+	return int64(s.Uint64() & rngMask) //nolint:gosec // masked to 63 bits
 }
 
 // ReplicationSeed derives the seed for replication rep of a batch rooted

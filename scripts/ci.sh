@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
-# over the MAC, route-cache, scheduler-wheel, trace-reader,
+# over the MAC, route-cache, scheduler-wheel, RNG-stream, trace-reader,
 # propagation-grid, reach-list, fading-verdict and config-decoder targets,
 # the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
-# 100-node route-learning cell and the 100-node mobile paper cell), a
-# benchmark smoke run, a tracediff smoke
+# 100-node route-learning cell, the 100-node mobile paper cell and that
+# cell's world set-up), a benchmark smoke run, a tracediff smoke
 # (audit inert / seeds diverge), the golden-trace corpus gate (every
 # committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
@@ -32,6 +32,7 @@ echo "== fuzz smoke =="
 go test -run '^$' -fuzz 'FuzzPSMOperations' -fuzztime 10s ./internal/mac
 go test -run '^$' -fuzz 'FuzzCacheOperations' -fuzztime 10s ./internal/routing/dsr
 go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
+go test -run '^$' -fuzz 'FuzzStream' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
 go test -run '^$' -fuzz 'FuzzReachLists' -fuzztime 10s ./internal/phy
@@ -43,15 +44,17 @@ echo "== coverage gate =="
 go run ./tools/covergate
 
 echo "== perf smoke =="
-# Calibrated gate over three cells, each scored on its own: a 3-node cell
-# for the event kernel, a 100-node always-on cell for DSR route learning
-# and the paper's mobile 100-node Rcast cell. Fails on a >30% slowdown of
+# Calibrated gate over four cells, each scored on its own: a 3-node cell
+# for the event kernel, a 100-node always-on cell for DSR route learning,
+# the paper's mobile 100-node Rcast cell and a batch of zero-length builds
+# of that cell's world, for set-up. Fails on a >30% slowdown of
 # any relative to tools/perfsmoke/baseline.json (see that tool for how the
 # score is normalized across machines).
 go run ./tools/perfsmoke
 
 echo "== bench smoke =="
-go test -run '^$' -bench 'BenchmarkFullRunRcast$|BenchmarkChannelTransmit' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkFullRunRcast$|BenchmarkChannelTransmit|BenchmarkWorldSetup$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkStream$' -benchtime 1x ./internal/sim
 go test -run '^$' -bench 'BenchmarkCacheAdd$|BenchmarkLearnFromTransmitter$' -benchtime 1x ./internal/routing/dsr
 go test -run '^$' -bench 'BenchmarkTransmit|BenchmarkVisitNeighbors|BenchmarkCountNeighbors' -benchtime 1x ./internal/phy
 

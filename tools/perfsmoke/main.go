@@ -10,7 +10,11 @@
 //   - paper-rcast-100: the paper's own cell (100 mobile nodes, Rcast over
 //     DSR, 1125 s), for what a paper run exercises together: PSM beacons
 //     and ATIM reach, the overhearing lottery's neighbor counts and the
-//     PHY's reach lists under mobility.
+//     PHY's reach lists under mobility;
+//   - world-setup-100: the same world built and run for 1 ms with traffic
+//     from t=0, for set-up, which is mostly seeding the per-node RNG
+//     streams. One ~2 ms build is too short to time alone, so each run
+//     times a batch of builds.
 //
 // Raw wall-clock time is useless as a committed number — CI machines
 // differ by far more than any regression worth catching. Instead the gate
@@ -26,9 +30,9 @@
 // regressions. The route-learning cell is mostly cache scans, so its
 // score wobbles more (0.93–1.46 over nine runs on a 2-vCPU VM), but
 // undoing the route-learning speedup costs it about a third; the paper
-// cell's baseline is likewise the median of nine -write runs. Best-of-3
-// runs on both sides squeeze out scheduler noise. Every cell shares the
-// one calibration time.
+// and set-up cells' baselines are likewise medians of nine -write runs.
+// Best-of-3 runs on both sides squeeze out scheduler noise. Every cell
+// shares the one calibration time.
 //
 // Usage:
 //
@@ -61,10 +65,12 @@ type baseline struct {
 	Comment string             `json:"comment"` // provenance note
 }
 
-// cell is one gated simulation.
+// cell is one gated simulation, run batch times (once when batch is 0)
+// per timing.
 type cell struct {
-	name string
-	cfg  func() rcast.Config
+	name  string
+	cfg   func() rcast.Config
+	batch int
 }
 
 var cells = []cell{
@@ -77,7 +83,7 @@ var cells = []cell{
 		cfg.Duration = rcast.Seconds(3600)
 		cfg.Pause = rcast.Seconds(3600) // static cell
 		return cfg
-	}},
+	}, 0},
 	{"route-learning-100", func() rcast.Config {
 		cfg := rcast.PaperDefaults()
 		cfg.Scheme = rcast.SchemeAlwaysOn
@@ -85,8 +91,14 @@ var cells = []cell{
 		cfg.Duration = rcast.Seconds(150)
 		cfg.Pause = cfg.Duration // static cell
 		return cfg
-	}},
-	{"paper-rcast-100", rcast.PaperDefaults},
+	}, 0},
+	{"paper-rcast-100", rcast.PaperDefaults, 0},
+	{"world-setup-100", func() rcast.Config {
+		cfg := rcast.PaperDefaults()
+		cfg.TrafficStart = 0
+		cfg.Duration = rcast.Millisecond
+		return cfg
+	}, 50},
 }
 
 // calibrate times the fixed reference workload: the heap-oracle scheduler
@@ -134,8 +146,12 @@ func main() {
 	for _, c := range cells {
 		cfg := c.cfg()
 		simT, err := bestOf(func() error {
-			_, err := rcast.RunReplications(cfg, 1)
-			return err
+			for range max(c.batch, 1) {
+				if _, err := rcast.RunReplications(cfg, 1); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", c.name, err))
