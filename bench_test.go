@@ -12,6 +12,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,21 +49,29 @@ func benchOutput() io.Writer {
 	return io.Discard
 }
 
-// BenchmarkTable1ProtocolBehavior regenerates Table 1: the protocol
-// behaviour of 802.11 / ODPM / Rcast.
-func BenchmarkTable1ProtocolBehavior(b *testing.B) {
+// benchTable regenerates the named table b.N times on the shared suite
+// and reports one column per row, under the metric name unit returns for
+// the row ("" skips it).
+func benchTable(b *testing.B, name, col string, unit func(i int, labels []string) string) {
 	s := sharedSuite()
-	var rows []experiments.Table1Row
+	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = s.Table1()
-		if err != nil {
+		if t, err = s.Table(name); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.AwakeFraction, r.Scheme.String()+"_awake")
+	for i, r := range t.Rows {
+		if u := unit(i, r.Labels); u != "" {
+			b.ReportMetric(t.Value(i, col), u)
+		}
 	}
+}
+
+// BenchmarkTable1ProtocolBehavior regenerates Table 1: the protocol
+// behaviour of 802.11 / ODPM / Rcast.
+func BenchmarkTable1ProtocolBehavior(b *testing.B) {
+	benchTable(b, "table1", "awakeFrac", func(_ int, l []string) string { return l[0] + "_awake" })
 }
 
 // BenchmarkFig5PerNodeEnergy regenerates Fig. 5: per-node energy curves
@@ -151,141 +161,56 @@ func BenchmarkFig9RoleNumber(b *testing.B) {
 // BenchmarkAblationOverhearPolicies regenerates ablation A1: the §3.2
 // overhearing-decision factors.
 func BenchmarkAblationOverhearPolicies(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationPolicies()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.TotalJoules, r.Policy+"_J")
-	}
+	benchTable(b, "a1", "energy(J)", func(_ int, l []string) string { return l[0] + "_J" })
 }
 
 // BenchmarkAblationOverhearingLevels regenerates ablation A2: the Fig. 2
 // no / unconditional / randomized overhearing taxonomy.
 func BenchmarkAblationOverhearingLevels(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.LevelResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationLevels()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.TotalJoules, r.Scheme.String()+"_J")
-	}
+	benchTable(b, "a2", "energy(J)", func(_ int, l []string) string { return l[0] + "_J" })
 }
 
 // BenchmarkAblationBroadcastRcast regenerates ablation A3: the §5
 // broadcast-Rcast RREQ damping extension.
 func BenchmarkAblationBroadcastRcast(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.GossipResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationGossip()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name := "flood"
-		if r.Gossip {
-			name = "gossip"
-		}
-		b.ReportMetric(r.RREQTx, name+"_rreq")
-	}
+	benchTable(b, "a3", "RREQ tx", func(i int, _ []string) string { return []string{"flood", "gossip"}[i] + "_rreq" })
 }
 
 // BenchmarkAblationCacheStrategies regenerates ablation A4: DSR cache
 // strategies (capacity, Hu & Johnson timeouts) under limited overhearing.
 func BenchmarkAblationCacheStrategies(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.CacheResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationCacheStrategies()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.PDR, "pdr_cap"+itoa(r.Capacity)+"_life"+itoa(int(r.Lifetime.Seconds())))
-	}
+	benchTable(b, "a4", "PDR", func(i int, _ []string) string {
+		return []string{"pdr_cap64_life0", "pdr_cap8_life0", "pdr_cap64_life30", "pdr_cap64_life5"}[i]
+	})
 }
 
 // BenchmarkAblationLifetime regenerates ablation A5: network lifetime with
 // finite batteries.
 func BenchmarkAblationLifetime(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.LifetimeResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationLifetime()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.DeadNodes), r.Scheme.String()+"_dead")
-	}
+	benchTable(b, "a5", "deadNodes", func(_ int, l []string) string { return l[0] + "_dead" })
 }
 
-// BenchmarkAblationRoutingProtocols regenerates ablation A6: DSR vs AODV.
+// BenchmarkAblationRoutingProtocols regenerates ablation A6: DSR vs AODV,
+// reporting the Rcast stack's overhead without AODV hellos.
 func BenchmarkAblationRoutingProtocols(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.RoutingResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationRouting()
-		if err != nil {
-			b.Fatal(err)
+	benchTable(b, "a6", "overhead", func(_ int, l []string) string {
+		if l[1] != rcast.SchemeRcast.String() || l[0] == "AODV (hello 1s)" {
+			return ""
 		}
-	}
-	for _, r := range rows {
-		if r.Scheme == scenario.SchemeRcast && !r.Hello {
-			b.ReportMetric(r.Overhead, r.Routing.String()+"_nro")
-		}
-	}
+		return strings.Fields(l[0])[0] + "_nro"
+	})
 }
 
 // BenchmarkAblationATIMReliability regenerates ablation A7: the paper's
 // §4.1 reliable-ATIM assumption vs a slotted contention model.
 func BenchmarkAblationATIMReliability(b *testing.B) {
-	s := sharedSuite()
-	var rows []experiments.ATIMResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = s.AblationATIM()
-		if err != nil {
-			b.Fatal(err)
+	benchTable(b, "a7", "PDR", func(_ int, l []string) string {
+		if l[0] != "contention" {
+			return ""
 		}
-	}
-	for _, r := range rows {
-		if r.Contention {
-			b.ReportMetric(r.PDR, "contention_pdr_r"+itoa(int(r.Rate*10)))
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+		rate, _ := strconv.ParseFloat(l[1], 64)
+		return "contention_pdr_r" + strconv.Itoa(int(rate*10))
+	})
 }
 
 func reportCorner(b *testing.B, points []experiments.SweepPoint, get func(experiments.SweepPoint) float64, unit string) {
@@ -397,7 +322,7 @@ func BenchmarkWorldSetup(b *testing.B) {
 // not the population, so ns/op should stay roughly flat across sizes.
 func BenchmarkChannelTransmit(b *testing.B) {
 	for _, n := range []int{50, 200, 800} {
-		b.Run("n="+itoa(n), func(b *testing.B) {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			// Square field scaled to hold n nodes at paper density.
 			side := math.Sqrt(4500 * float64(n))
 			sched := sim.NewScheduler()

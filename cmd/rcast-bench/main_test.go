@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcast/internal/experiments"
 	"rcast/internal/trace"
 )
 
@@ -20,8 +21,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-profile", "bogus"}); err == nil {
 		t.Error("accepted unknown profile")
 	}
-	if err := run([]string{"-only", "fig99"}); err == nil {
+	err := run([]string{"-only", "fig99"})
+	if err == nil {
 		t.Error("accepted unknown figure")
+	} else if !strings.Contains(err.Error(), strings.Join(experiments.Names(), ", ")) {
+		t.Errorf("unknown-figure error %q does not list the valid names", err)
 	}
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("accepted unknown flag")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // WriteSweepCSV exports the Figs. 6–8 rate sweep as CSV for external
@@ -87,12 +88,7 @@ func (s *Suite) WriteFig5CSV(w io.Writer) error {
 // WriteFig9CSV exports the per-node (role number, energy) scatter points
 // behind Fig. 9. One row per (rate, scheme, node).
 func (s *Suite) WriteFig9CSV(w io.Writer) error {
-	var keys []runKey
-	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
-		for _, sch := range figureSchemes {
-			keys = append(keys, runKey{scheme: sch, rate: rate})
-		}
-	}
+	keys := s.cornerKeys()
 	if err := s.prefetch(keys...); err != nil {
 		return err
 	}
@@ -100,30 +96,24 @@ func (s *Suite) WriteFig9CSV(w io.Writer) error {
 	if err := cw.Write([]string{"rate", "scheme", "node", "role_number", "joules"}); err != nil {
 		return err
 	}
-	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
-		for _, sch := range figureSchemes {
-			a, err := s.agg(runKey{scheme: sch, rate: rate})
-			if err != nil {
+	for _, k := range keys {
+		r := s.cache[k].Results[0]
+		// Sanity footer comment rows are not valid CSV; instead assert
+		// internally that the vectors are aligned.
+		if len(r.RoleNumbers) != len(r.PerNodeJoules) {
+			return fmt.Errorf("experiments: role/energy length mismatch (%d vs %d)",
+				len(r.RoleNumbers), len(r.PerNodeJoules))
+		}
+		for node := range r.RoleNumbers {
+			row := []string{
+				strconv.FormatFloat(k.rate, 'f', 1, 64),
+				k.scheme.String(),
+				strconv.Itoa(node),
+				strconv.FormatFloat(r.RoleNumbers[node], 'f', 0, 64),
+				strconv.FormatFloat(r.PerNodeJoules[node], 'f', 2, 64),
+			}
+			if err := cw.Write(row); err != nil {
 				return err
-			}
-			r := a.Results[0]
-			for node := range r.RoleNumbers {
-				row := []string{
-					strconv.FormatFloat(rate, 'f', 1, 64),
-					sch.String(),
-					strconv.Itoa(node),
-					strconv.FormatFloat(r.RoleNumbers[node], 'f', 0, 64),
-					strconv.FormatFloat(r.PerNodeJoules[node], 'f', 2, 64),
-				}
-				if err := cw.Write(row); err != nil {
-					return err
-				}
-			}
-			// Sanity footer comment rows are not valid CSV; instead assert
-			// internally that the vectors are aligned.
-			if len(r.RoleNumbers) != len(r.PerNodeJoules) {
-				return fmt.Errorf("experiments: role/energy length mismatch (%d vs %d)",
-					len(r.RoleNumbers), len(r.PerNodeJoules))
 			}
 		}
 	}
@@ -134,25 +124,14 @@ func (s *Suite) WriteFig9CSV(w io.Writer) error {
 // SummaryLine returns a one-line digest of the headline comparison at the
 // low-rate mobile point, used by tooling banners.
 func (s *Suite) SummaryLine() (string, error) {
-	keys := make([]runKey, len(figureSchemes))
-	for i, sch := range figureSchemes {
-		keys[i] = runKey{scheme: sch, rate: s.p.LowRate}
-	}
-	if err := s.prefetch(keys...); err != nil {
-		return "", err
-	}
 	var parts []string
 	for _, sch := range figureSchemes {
-		a, err := s.agg(runKey{scheme: sch, rate: s.p.LowRate})
+		a, err := s.agg(s.low(sch))
 		if err != nil {
 			return "", err
 		}
 		parts = append(parts, fmt.Sprintf("%s %.0fJ/%.1f%%",
 			sch, a.TotalJoules.Mean(), 100*a.PDR.Mean()))
 	}
-	line := parts[0]
-	for _, p := range parts[1:] {
-		line += "  " + p
-	}
-	return line, nil
+	return strings.Join(parts, "  "), nil
 }

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§4), plus the ablations DESIGN.md calls out. Each
 // generator prints the same rows/series the paper reports and returns the
-// underlying data for programmatic checks.
+// underlying data for programmatic checks. Table 1 and the ablations
+// A1–A10 are data (see tables.go) rendered by one printer; Figs. 5–9 keep
+// their own code.
 //
 // Runs are cached per (scheme, rate, pause, gossip) so the figure
 // generators share simulations: Figs. 6, 7 and 8 all derive from one rate
@@ -12,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"rcast/internal/fault"
@@ -95,8 +99,8 @@ type runKey struct {
 }
 
 // Suite runs and caches the simulations behind all generators. Simulation
-// cells fan out across a worker pool (see Runner); the reports and series a
-// suite produces are byte-identical for every worker count.
+// runs fan out across a worker pool (scenario.RunBatch); the reports and
+// series a suite produces are byte-identical for every worker count.
 type Suite struct {
 	p         Profile
 	out       io.Writer
@@ -150,20 +154,20 @@ func (s *Suite) SetTrace(sink trace.Sink) {
 	s.cache = make(map[runKey]*scenario.Aggregate)
 }
 
-// SetContext installs a cancellation context consulted between simulation
-// runs; cancelling it makes the in-progress generator return its error.
+// SetContext installs a cancellation context for every simulation the
+// suite runs: cancelling it stops in-flight runs mid-event-loop
+// (scenario.RunContext's cooperative stop) and makes the in-progress
+// generator return its error.
 func (s *Suite) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// Runs returns how many distinct simulation batches have been executed.
+// Runs returns how many distinct runKey batches are cached: the figures'
+// batches and those the cache-reading tables (Table 1, A2, A3) share with
+// them. Table rows with a config edit run fresh and are not counted.
 func (s *Suite) Runs() int { return len(s.cache) }
 
 // SimRuns returns how many individual simulations have completed (each
-// replication of each batch counts once, ablation batches included).
+// replication of each batch counts once, table rows included).
 func (s *Suite) SimRuns() int64 { return s.simRuns.Load() }
-
-func (s *Suite) runner() Runner {
-	return Runner{Workers: s.workers, OnRunDone: func() { s.simRuns.Add(1) }}
-}
 
 func (s *Suite) context() context.Context {
 	if s.ctx != nil {
@@ -215,22 +219,15 @@ func (s *Suite) agg(k runKey) (*scenario.Aggregate, error) {
 // order, keeping output byte-identical for every worker count.
 func (s *Suite) prefetch(keys ...runKey) error {
 	var missing []runKey
-	seen := make(map[runKey]bool, len(keys))
+	var cfgs []scenario.Config
 	for _, k := range keys {
-		if _, ok := s.cache[k]; ok || seen[k] {
+		if _, ok := s.cache[k]; ok || slices.Contains(missing, k) {
 			continue
 		}
-		seen[k] = true
 		missing = append(missing, k)
+		cfgs = append(cfgs, s.config(k))
 	}
-	if len(missing) == 0 {
-		return nil
-	}
-	specs := make([]RunSpec, len(missing))
-	for i, k := range missing {
-		specs[i] = RunSpec{Cfg: s.config(k), Reps: s.p.Reps}
-	}
-	aggs, err := s.runner().Run(s.context(), specs)
+	aggs, err := s.run(cfgs)
 	if err != nil {
 		return err
 	}
@@ -240,19 +237,15 @@ func (s *Suite) prefetch(keys ...runKey) error {
 	return nil
 }
 
-// runConfigs executes one replication batch per config across the worker
-// pool and returns aggregates in input order. Used by the ablations, whose
-// configs carry knobs outside the runKey cache.
-func (s *Suite) runConfigs(cfgs []scenario.Config) ([]*scenario.Aggregate, error) {
-	specs := make([]RunSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Audit = cfg.Audit || s.audit
-		if cfg.Trace == nil {
-			cfg.Trace = s.traceSink
-		}
-		specs[i] = RunSpec{Cfg: cfg, Reps: s.p.Reps}
+// run executes one replication batch per config on the suite's pool and
+// returns the aggregates in input order.
+func (s *Suite) run(cfgs []scenario.Config) ([]*scenario.Aggregate, error) {
+	aggs, err := scenario.RunBatch(s.context(), s.workers, s.p.Reps, cfgs...)
+	if err != nil {
+		return nil, err
 	}
-	return s.runner().Run(s.context(), specs)
+	s.simRuns.Add(int64(len(cfgs) * max(s.p.Reps, 1)))
+	return aggs, nil
 }
 
 func (s *Suite) printf(format string, args ...any) {
@@ -280,6 +273,69 @@ func (s *Suite) sweepKeys() []runKey {
 	return keys
 }
 
+// generators lists every table and figure in report order. The names are
+// rcast-bench's -only vocabulary; a table is data rendered by Table, a
+// figure prints itself.
+var generators = []struct {
+	name  string
+	table func(*Suite) table
+	fig   func(*Suite) error
+}{
+	{name: "table1", table: (*Suite).table1},
+	{name: "fig5", fig: func(s *Suite) error { _, err := s.Fig5(); return err }},
+	{name: "fig6", fig: func(s *Suite) error { _, err := s.Fig6(); return err }},
+	{name: "fig7", fig: func(s *Suite) error { _, err := s.Fig7(); return err }},
+	{name: "fig8", fig: func(s *Suite) error { _, err := s.Fig8(); return err }},
+	{name: "fig9", fig: func(s *Suite) error { _, err := s.Fig9(); return err }},
+	{name: "a1", table: (*Suite).a1},
+	{name: "a2", table: (*Suite).a2},
+	{name: "a3", table: (*Suite).a3},
+	{name: "a4", table: (*Suite).a4},
+	{name: "a5", table: (*Suite).a5},
+	{name: "a6", table: (*Suite).a6},
+	{name: "a7", table: (*Suite).a7},
+	{name: "a8", table: (*Suite).a8},
+	{name: "a9", table: (*Suite).a9},
+	{name: "a10", table: (*Suite).a10},
+}
+
+// Names returns every table and figure name in report order.
+func Names() []string {
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		names[i] = g.name
+	}
+	return names
+}
+
+// Generate regenerates the named table or figure.
+func (s *Suite) Generate(name string) error {
+	for _, g := range generators {
+		if g.name == name && g.fig != nil {
+			return g.fig(s)
+		}
+	}
+	_, err := s.Table(name)
+	return err
+}
+
+// Table runs (or reads from the cache) the named table's rows, prints the
+// table and returns its data. An unknown name's error lists every valid
+// name.
+func (s *Suite) Table(name string) (*Table, error) {
+	for _, g := range generators {
+		if g.name == name && g.table != nil {
+			t, err := s.render(g.table(s))
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			}
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown table or figure %q (want one of %s)",
+		name, strings.Join(Names(), ", "))
+}
+
 // All regenerates every table and figure in order.
 func (s *Suite) All() error {
 	// Fan out every cacheable cell of every figure at once, so the worker
@@ -293,26 +349,8 @@ func (s *Suite) All() error {
 	if err := s.prefetch(keys...); err != nil {
 		return err
 	}
-	steps := []func() error{
-		func() error { _, err := s.Table1(); return err },
-		func() error { _, err := s.Fig5(); return err },
-		func() error { _, err := s.Fig6(); return err },
-		func() error { _, err := s.Fig7(); return err },
-		func() error { _, err := s.Fig8(); return err },
-		func() error { _, err := s.Fig9(); return err },
-		func() error { _, err := s.AblationPolicies(); return err },
-		func() error { _, err := s.AblationLevels(); return err },
-		func() error { _, err := s.AblationGossip(); return err },
-		func() error { _, err := s.AblationCacheStrategies(); return err },
-		func() error { _, err := s.AblationLifetime(); return err },
-		func() error { _, err := s.AblationRouting(); return err },
-		func() error { _, err := s.AblationATIM(); return err },
-		func() error { _, err := s.AblationFaults(); return err },
-		func() error { _, err := s.AblationChannels(); return err },
-		func() error { _, err := s.AblationTxPower(); return err },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
+	for _, g := range generators {
+		if err := s.Generate(g.name); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +13,8 @@ import (
 	"rcast/internal/scenario"
 	"rcast/internal/sim"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/tiny-suite.golden")
 
 // tiny returns a profile small enough for unit tests (< 1 s per run).
 func tiny() Profile {
@@ -28,28 +34,29 @@ func tiny() Profile {
 	}
 }
 
-func TestTable1(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(tiny(), &buf)
-	rows, err := s.Table1()
+// renderTable renders the named table on a fresh tiny suite.
+func renderTable(t *testing.T, name string, out io.Writer) *Table {
+	t.Helper()
+	s := NewSuite(tiny(), out)
+	tab, err := s.Table(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
+	return tab
+}
+
+func TestTable1(t *testing.T) {
+	var buf bytes.Buffer
+	tab := renderTable(t, "table1", &buf)
+	if len(tab.Rows) != 3 {
+		t.Fatalf("got %d rows", len(tab.Rows))
 	}
 	// 802.11 nodes are always awake; Rcast nodes are not.
-	if rows[0].Scheme != scenario.SchemeAlwaysOn || rows[0].AwakeFraction < 0.999 {
-		t.Fatalf("802.11 awake fraction = %v", rows[0].AwakeFraction)
+	if tab.Rows[0].Labels[0] != scenario.SchemeAlwaysOn.String() || tab.Value(0, "awakeFrac") < 0.999 {
+		t.Fatalf("802.11 awake fraction = %v", tab.Value(0, "awakeFrac"))
 	}
-	var rcastRow *Table1Row
-	for i := range rows {
-		if rows[i].Scheme == scenario.SchemeRcast {
-			rcastRow = &rows[i]
-		}
-	}
-	if rcastRow == nil || rcastRow.AwakeFraction > 0.9 {
-		t.Fatalf("Rcast awake fraction = %+v", rcastRow)
+	if tab.Rows[2].Labels[0] != scenario.SchemeRcast.String() || tab.Value(2, "awakeFrac") > 0.9 {
+		t.Fatalf("Rcast awake fraction = %v", tab.Value(2, "awakeFrac"))
 	}
 	if !strings.Contains(buf.String(), "Table 1") {
 		t.Fatal("report missing header")
@@ -190,165 +197,132 @@ func TestFig9(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	s := NewSuite(tiny(), nil)
-	pols, err := s.AblationPolicies()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pols) != 5 {
-		t.Fatalf("A1: %d rows", len(pols))
-	}
-	lvls, err := s.AblationLevels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lvls) != 3 {
-		t.Fatalf("A2: %d rows", len(lvls))
-	}
-	// Randomized overhearing must cost less than unconditional.
-	var uncond, rcast float64
-	for _, l := range lvls {
-		switch l.Scheme {
-		case scenario.SchemePSM:
-			uncond = l.TotalJoules
-		case scenario.SchemeRcast:
-			rcast = l.TotalJoules
+	for name, want := range map[string]int{"a1": 5, "a2": 3, "a3": 2} {
+		tab, err := s.Table(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rcast >= uncond {
-		t.Fatalf("A2: Rcast %.0f J not below unconditional %.0f J", rcast, uncond)
-	}
-	goss, err := s.AblationGossip()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(goss) != 2 {
-		t.Fatalf("A3: %d rows", len(goss))
+		if len(tab.Rows) != want {
+			t.Fatalf("%s: %d rows, want %d", name, len(tab.Rows), want)
+		}
+		if name != "a2" {
+			continue
+		}
+		// Randomized overhearing (Rcast, row 2) must cost less than
+		// unconditional (PSM, row 1).
+		if rcast, uncond := tab.Value(2, "energy(J)"), tab.Value(1, "energy(J)"); rcast >= uncond {
+			t.Fatalf("A2: Rcast %.0f J not below unconditional %.0f J", rcast, uncond)
+		}
 	}
 }
 
 func TestAblationCacheStrategies(t *testing.T) {
-	s := NewSuite(tiny(), nil)
-	rows, err := s.AblationCacheStrategies()
-	if err != nil {
-		t.Fatal(err)
+	tab := renderTable(t, "a4", nil)
+	if len(tab.Rows) != 4 {
+		t.Fatalf("A4: %d rows", len(tab.Rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("A4: %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.PDR < 0.3 {
-			t.Fatalf("A4 %q: PDR %.3f implausible", r.Label, r.PDR)
+	for i, r := range tab.Rows {
+		if pdr := tab.Value(i, "PDR"); pdr < 0.3 {
+			t.Fatalf("A4 %q: PDR %.3f implausible", r.Labels[0], pdr)
 		}
 	}
 }
 
 func TestAblationLifetime(t *testing.T) {
-	s := NewSuite(tiny(), nil)
-	rows, err := s.AblationLifetime()
-	if err != nil {
-		t.Fatal(err)
+	tab := renderTable(t, "a5", nil)
+	if len(tab.Rows) != 3 {
+		t.Fatalf("A5: %d rows", len(tab.Rows))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("A5: %d rows", len(rows))
+	// Rows follow figureSchemes: 802.11, ODPM, Rcast. The battery is
+	// sized so every always-awake node dies mid-run.
+	aoDead, rcDead := tab.Value(0, "deadNodes"), tab.Value(2, "deadNodes")
+	if aoDead != float64(tiny().Nodes) {
+		t.Fatalf("A5: 802.11 lost %v nodes, want all %d", aoDead, tiny().Nodes)
 	}
-	var ao, rc LifetimeResult
-	for _, r := range rows {
-		switch r.Scheme {
-		case scenario.SchemeAlwaysOn:
-			ao = r
-		case scenario.SchemeRcast:
-			rc = r
-		}
+	if rcDead >= aoDead {
+		t.Fatalf("A5: Rcast lost %v nodes, not fewer than 802.11's %v", rcDead, aoDead)
 	}
-	// The battery is sized so every always-awake node dies mid-run.
-	if ao.DeadNodes != tiny().Nodes {
-		t.Fatalf("A5: 802.11 lost %d nodes, want all %d", ao.DeadNodes, tiny().Nodes)
-	}
-	if rc.DeadNodes >= ao.DeadNodes {
-		t.Fatalf("A5: Rcast lost %d nodes, not fewer than 802.11's %d", rc.DeadNodes, ao.DeadNodes)
-	}
-	if ao.FirstDeathSec <= 0 {
+	if tab.Value(0, "firstDeath(s)") <= 0 {
 		t.Fatal("A5: no first-death time recorded for 802.11")
 	}
 }
 
 func TestAblationATIM(t *testing.T) {
-	s := NewSuite(tiny(), nil)
-	rows, err := s.AblationATIM()
-	if err != nil {
-		t.Fatal(err)
+	tab := renderTable(t, "a7", nil)
+	if len(tab.Rows) != 4 {
+		t.Fatalf("A7: %d rows", len(tab.Rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("A7: %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Contention && r.AtimFailures != 0 {
-			t.Fatalf("A7: reliable mode reported %v ATIM failures", r.AtimFailures)
+	for i, r := range tab.Rows {
+		if r.Labels[0] == "reliable" && tab.Value(i, "atimFail") != 0 {
+			t.Fatalf("A7: reliable mode reported %v ATIM failures", tab.Value(i, "atimFail"))
 		}
-		if r.PDR < 0.3 {
-			t.Fatalf("A7: PDR %.3f implausible", r.PDR)
+		if pdr := tab.Value(i, "PDR"); pdr < 0.3 {
+			t.Fatalf("A7: PDR %.3f implausible", pdr)
 		}
 	}
 }
 
 func TestAblationRouting(t *testing.T) {
-	s := NewSuite(tiny(), nil)
-	rows, err := s.AblationRouting()
-	if err != nil {
-		t.Fatal(err)
+	tab := renderTable(t, "a6", nil)
+	if len(tab.Rows) != 6 {
+		t.Fatalf("A6: %d rows", len(tab.Rows))
 	}
-	if len(rows) != 6 {
-		t.Fatalf("A6: %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.PDR < 0.3 {
-			t.Fatalf("A6 %v/%v: PDR %.3f implausible", r.Routing, r.Scheme, r.PDR)
+	for i, r := range tab.Rows {
+		if pdr := tab.Value(i, "PDR"); pdr < 0.3 {
+			t.Fatalf("A6 %v: PDR %.3f implausible", r.Labels, pdr)
 		}
-		if r.Routing == scenario.RoutingDSR && r.HelloTx != 0 {
+		hello := tab.Value(i, "hello")
+		if r.Labels[0] == "DSR" && hello != 0 {
 			t.Fatal("A6: DSR reported hello traffic")
 		}
-		if r.Routing == scenario.RoutingAODV && r.Hello && r.HelloTx == 0 {
+		if r.Labels[0] == "AODV (hello 1s)" && hello == 0 {
 			t.Fatal("A6: hello-enabled AODV sent no hellos")
 		}
 	}
 }
 
 func TestAblationFaults(t *testing.T) {
-	s := NewSuite(tiny(), nil)
-	rows, err := s.AblationFaults()
-	if err != nil {
-		t.Fatal(err)
+	tab := renderTable(t, "a8", nil)
+	if len(tab.Rows) != 16 {
+		t.Fatalf("A8: %d rows, want 4 variants x 4 schemes", len(tab.Rows))
 	}
-	if len(rows) != 16 {
-		t.Fatalf("A8: %d rows, want 4 variants x 4 schemes", len(rows))
-	}
-	for _, r := range rows {
-		switch r.Variant {
+	for i, r := range tab.Rows {
+		crashes, flushed, lost := tab.Value(i, "crashes"), tab.Value(i, "flushed"), tab.Value(i, "faultLost")
+		switch r.Labels[0] {
 		case "none":
-			if r.Crashes != 0 || r.Flushed != 0 || r.FaultLost != 0 {
-				t.Fatalf("A8 none/%v: fault counters nonzero: %+v", r.Scheme, r)
+			if crashes != 0 || flushed != 0 || lost != 0 {
+				t.Fatalf("A8 %v: fault counters nonzero", r.Labels)
 			}
 		case "crash":
-			if r.Crashes == 0 {
-				t.Fatalf("A8 crash/%v: no crashes recorded", r.Scheme)
+			if crashes == 0 {
+				t.Fatalf("A8 %v: no crashes recorded", r.Labels)
 			}
-			if r.FaultLost != 0 {
-				t.Fatalf("A8 crash/%v: burst loss leaked into the crash-only cell", r.Scheme)
+			if lost != 0 {
+				t.Fatalf("A8 %v: burst loss leaked into the crash-only cell", r.Labels)
 			}
 		case "burst-loss":
-			if r.FaultLost == 0 {
-				t.Fatalf("A8 burst-loss/%v: loss model vanished no frames", r.Scheme)
+			if lost == 0 {
+				t.Fatalf("A8 %v: loss model vanished no frames", r.Labels)
 			}
-			if r.Crashes != 0 {
-				t.Fatalf("A8 burst-loss/%v: crashes leaked into the loss-only cell", r.Scheme)
+			if crashes != 0 {
+				t.Fatalf("A8 %v: crashes leaked into the loss-only cell", r.Labels)
 			}
 		case "crash+loss":
-			if r.Crashes == 0 || r.FaultLost == 0 {
-				t.Fatalf("A8 crash+loss/%v: combined cell missing a fault class: %+v", r.Scheme, r)
+			if crashes == 0 || lost == 0 {
+				t.Fatalf("A8 %v: combined cell missing a fault class", r.Labels)
 			}
 		default:
-			t.Fatalf("A8: unknown variant %q", r.Variant)
+			t.Fatalf("A8: unknown variant %q", r.Labels[0])
 		}
+	}
+}
+
+// TestTableUnknownName checks that an unknown name's error lists every
+// valid name, in report order.
+func TestTableUnknownName(t *testing.T) {
+	_, err := NewSuite(tiny(), nil).Table("fig99")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+		t.Fatalf("err = %v, want the valid names listed", err)
 	}
 }
 
@@ -393,6 +367,21 @@ func TestAllRunsEverything(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report missing %q", want)
 		}
+	}
+	// The golden file pins every byte the generators print, so a change
+	// to a table's layout or to the simulations behind it shows up here.
+	golden := filepath.Join("testdata", "tiny-suite.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("suite stdout differs from %s (rerun with -update if intended):\n%s", golden, buf.String())
 	}
 }
 

@@ -5,58 +5,6 @@ import (
 	"rcast/internal/stats"
 )
 
-// Table1Row is one scheme's measured behaviour (paper Table 1 validated
-// quantitatively at the mobile low-rate operating point).
-type Table1Row struct {
-	Scheme        scenario.Scheme
-	Behavior      string
-	AwakeFraction float64 // mean fraction of the run nodes spent awake
-	TotalJoules   float64
-	PDR           float64
-	AvgDelaySec   float64
-}
-
-// Table1 reproduces the protocol-behaviour comparison.
-func (s *Suite) Table1() ([]Table1Row, error) {
-	behaviors := map[scenario.Scheme]string{
-		scenario.SchemeAlwaysOn: "no PSM; always awake; immediate transmission",
-		scenario.SchemeODPM:     "AM for 5s after RREP / 2s after data; fast path between AM nodes",
-		scenario.SchemeRcast:    "always PS; per-packet overhearing level; beacon-deferred transmission",
-	}
-	keys := make([]runKey, len(figureSchemes))
-	for i, sch := range figureSchemes {
-		keys[i] = runKey{scheme: sch, rate: s.p.LowRate}
-	}
-	if err := s.prefetch(keys...); err != nil {
-		return nil, err
-	}
-	s.printf("== Table 1: protocol behaviour (rate=%.1f pkt/s, mobile) ==\n", s.p.LowRate)
-	s.printf("%-8s %-10s %-8s %-10s %-10s %s\n",
-		"scheme", "awakeFrac", "PDR", "delay(s)", "energy(J)", "behaviour")
-	var rows []Table1Row
-	for _, sch := range figureSchemes {
-		a, err := s.agg(runKey{scheme: sch, rate: s.p.LowRate})
-		if err != nil {
-			return nil, err
-		}
-		r := a.Results[0]
-		awake := awakeFraction(r)
-		row := Table1Row{
-			Scheme:        sch,
-			Behavior:      behaviors[sch],
-			AwakeFraction: awake,
-			TotalJoules:   a.TotalJoules.Mean(),
-			PDR:           a.PDR.Mean(),
-			AvgDelaySec:   a.AvgDelaySec.Mean(),
-		}
-		rows = append(rows, row)
-		s.printf("%-8s %-10.3f %-8.3f %-10.3f %-10.0f %s\n",
-			sch, row.AwakeFraction, row.PDR, row.AvgDelaySec, row.TotalJoules, row.Behavior)
-	}
-	s.printf("\n")
-	return rows, nil
-}
-
 // awakeFraction estimates the mean awake fraction from per-node energy:
 // invert J = Pawake*f*T + Psleep*(1-f)*T.
 func awakeFraction(r *scenario.Result) float64 {
@@ -170,81 +118,55 @@ func (s *Suite) sweep() ([]SweepPoint, error) {
 	return out, nil
 }
 
-// Fig6 reproduces "variance of energy consumption" vs packet rate for
-// mobile and static scenarios.
-func (s *Suite) Fig6() ([]SweepPoint, error) {
+// sweepMetric is one panel series of Figs. 6–8: its name, the fmt verb of
+// its cells, and the SweepPoint field it plots.
+type sweepMetric struct {
+	name, format string
+	get          func(SweepPoint) float64
+}
+
+// sweepPanels prints one panel per (pause setting, metric) of a rate-sweep
+// figure: a row per rate, a column per scheme.
+func (s *Suite) sweepPanels(fig int, ms ...sweepMetric) ([]SweepPoint, error) {
 	points, err := s.sweep()
 	if err != nil {
 		return nil, err
 	}
 	for _, static := range []bool{false, true} {
-		s.printf("== Fig 6: variance of per-node energy (%s) ==\n", pauseLabel(static))
-		s.printHeader()
-		for _, rate := range s.p.Rates {
-			s.printRow(points, rate, static, func(p SweepPoint) float64 { return p.EnergyVariance }, "%10.0f")
+		for _, m := range ms {
+			s.printf("== Fig %d: %s (%s) ==\n", fig, m.name, pauseLabel(static))
+			s.printHeader()
+			for _, rate := range s.p.Rates {
+				s.printRow(points, rate, static, m.get, m.format)
+			}
+			s.printf("\n")
 		}
-		s.printf("\n")
 	}
 	return points, nil
+}
+
+// Fig6 reproduces "variance of energy consumption" vs packet rate for
+// mobile and static scenarios.
+func (s *Suite) Fig6() ([]SweepPoint, error) {
+	return s.sweepPanels(6,
+		sweepMetric{"variance of per-node energy", "%10.0f", func(p SweepPoint) float64 { return p.EnergyVariance }})
 }
 
 // Fig7 reproduces total energy, packet delivery ratio and energy-per-bit
 // vs packet rate (six panels).
 func (s *Suite) Fig7() ([]SweepPoint, error) {
-	points, err := s.sweep()
-	if err != nil {
-		return nil, err
-	}
-	type metric struct {
-		name   string
-		format string
-		get    func(SweepPoint) float64
-	}
-	ms := []metric{
-		{name: "total energy (J)", format: "%10.0f", get: func(p SweepPoint) float64 { return p.TotalJoules }},
-		{name: "packet delivery ratio", format: "%10.3f", get: func(p SweepPoint) float64 { return p.PDR }},
-		{name: "energy per bit (J/bit)", format: "%10.2e", get: func(p SweepPoint) float64 { return p.EnergyPerBit }},
-	}
-	for _, static := range []bool{false, true} {
-		for _, m := range ms {
-			s.printf("== Fig 7: %s (%s) ==\n", m.name, pauseLabel(static))
-			s.printHeader()
-			for _, rate := range s.p.Rates {
-				s.printRow(points, rate, static, m.get, m.format)
-			}
-			s.printf("\n")
-		}
-	}
-	return points, nil
+	return s.sweepPanels(7,
+		sweepMetric{"total energy (J)", "%10.0f", func(p SweepPoint) float64 { return p.TotalJoules }},
+		sweepMetric{"packet delivery ratio", "%10.3f", func(p SweepPoint) float64 { return p.PDR }},
+		sweepMetric{"energy per bit (J/bit)", "%10.2e", func(p SweepPoint) float64 { return p.EnergyPerBit }})
 }
 
 // Fig8 reproduces average packet delay and normalized routing overhead vs
 // packet rate (four panels).
 func (s *Suite) Fig8() ([]SweepPoint, error) {
-	points, err := s.sweep()
-	if err != nil {
-		return nil, err
-	}
-	type metric struct {
-		name   string
-		format string
-		get    func(SweepPoint) float64
-	}
-	ms := []metric{
-		{name: "average delay (s)", format: "%10.3f", get: func(p SweepPoint) float64 { return p.AvgDelaySec }},
-		{name: "normalized routing overhead", format: "%10.2f", get: func(p SweepPoint) float64 { return p.NormalizedOverhead }},
-	}
-	for _, static := range []bool{false, true} {
-		for _, m := range ms {
-			s.printf("== Fig 8: %s (%s) ==\n", m.name, pauseLabel(static))
-			s.printHeader()
-			for _, rate := range s.p.Rates {
-				s.printRow(points, rate, static, m.get, m.format)
-			}
-			s.printf("\n")
-		}
-	}
-	return points, nil
+	return s.sweepPanels(8,
+		sweepMetric{"average delay (s)", "%10.3f", func(p SweepPoint) float64 { return p.AvgDelaySec }},
+		sweepMetric{"normalized routing overhead", "%10.2f", func(p SweepPoint) float64 { return p.NormalizedOverhead }})
 }
 
 func (s *Suite) printHeader() {
@@ -282,14 +204,21 @@ type Fig9Panel struct {
 	Correlation float64 // Pearson correlation of (role, energy) over nodes
 }
 
-// Fig9 reproduces "comparison of role number and energy consumption".
-func (s *Suite) Fig9() ([]Fig9Panel, error) {
+// cornerKeys are the mobile cells of every figure scheme at the low and
+// then the high corner rate: the cells behind Fig. 9 and its CSV.
+func (s *Suite) cornerKeys() []runKey {
 	var keys []runKey
 	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
 		for _, sch := range figureSchemes {
 			keys = append(keys, runKey{scheme: sch, rate: rate})
 		}
 	}
+	return keys
+}
+
+// Fig9 reproduces "comparison of role number and energy consumption".
+func (s *Suite) Fig9() ([]Fig9Panel, error) {
+	keys := s.cornerKeys()
 	if err := s.prefetch(keys...); err != nil {
 		return nil, err
 	}
@@ -297,27 +226,21 @@ func (s *Suite) Fig9() ([]Fig9Panel, error) {
 	s.printf("== Fig 9: role number vs per-node energy (mobile) ==\n")
 	s.printf("%-8s %-6s %9s %9s %9s %9s %9s %6s\n",
 		"scheme", "rate", "roleMax", "roleMean", "roleP90", "energyMax", "energyAvg", "corr")
-	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
-		for _, sch := range figureSchemes {
-			a, err := s.agg(runKey{scheme: sch, rate: rate})
-			if err != nil {
-				return nil, err
-			}
-			r := a.Results[0]
-			p := Fig9Panel{
-				Scheme:      sch,
-				Rate:        rate,
-				RoleMax:     stats.Max(r.RoleNumbers),
-				RoleMean:    stats.Mean(r.RoleNumbers),
-				RoleP90:     stats.Percentile(r.RoleNumbers, 90),
-				EnergyMax:   stats.Max(r.PerNodeJoules),
-				EnergyMean:  stats.Mean(r.PerNodeJoules),
-				Correlation: stats.Correlation(r.RoleNumbers, r.PerNodeJoules),
-			}
-			panels = append(panels, p)
-			s.printf("%-8s %-6.1f %9.0f %9.1f %9.1f %9.1f %9.1f %6.2f\n",
-				sch, rate, p.RoleMax, p.RoleMean, p.RoleP90, p.EnergyMax, p.EnergyMean, p.Correlation)
+	for _, k := range keys {
+		r := s.cache[k].Results[0]
+		p := Fig9Panel{
+			Scheme:      k.scheme,
+			Rate:        k.rate,
+			RoleMax:     stats.Max(r.RoleNumbers),
+			RoleMean:    stats.Mean(r.RoleNumbers),
+			RoleP90:     stats.Percentile(r.RoleNumbers, 90),
+			EnergyMax:   stats.Max(r.PerNodeJoules),
+			EnergyMean:  stats.Mean(r.PerNodeJoules),
+			Correlation: stats.Correlation(r.RoleNumbers, r.PerNodeJoules),
 		}
+		panels = append(panels, p)
+		s.printf("%-8s %-6.1f %9.0f %9.1f %9.1f %9.1f %9.1f %6.2f\n",
+			k.scheme, k.rate, p.RoleMax, p.RoleMean, p.RoleP90, p.EnergyMax, p.EnergyMean, p.Correlation)
 	}
 	s.printf("\n")
 	return panels, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -66,26 +67,22 @@ func TestWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesSerialReplications checks the runner against the serial
-// scenario.RunReplications path for a multi-replication batch.
+// TestRunnerMatchesSerialReplications checks the suite's batch path
+// against the serial scenario.RunReplications path for a
+// multi-replication batch on a four-worker pool.
 func TestRunnerMatchesSerialReplications(t *testing.T) {
 	p := tiny()
-	cfg := scenario.PaperDefaults()
-	cfg.Scheme = scenario.SchemeRcast
-	cfg.Nodes = p.Nodes
-	cfg.FieldW, cfg.FieldH = p.FieldW, p.FieldH
-	cfg.Connections = p.Connections
-	cfg.Duration = p.Duration
-	cfg.PacketRate = p.LowRate
-	cfg.Pause = p.PauseMobile
+	p.Reps = 2
+	s := NewSuite(p, nil)
+	s.SetWorkers(4)
+	cfg := s.config(runKey{scheme: scenario.SchemeRcast, rate: p.LowRate})
 	cfg.Seed = 7
 
 	want, err := scenario.RunReplications(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Runner{Workers: 4}
-	aggs, err := r.Run(context.Background(), []RunSpec{{Cfg: cfg, Reps: 2}})
+	aggs, err := s.run([]scenario.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,56 +104,54 @@ func TestRunnerMatchesSerialReplications(t *testing.T) {
 		t.Fatalf("aggregate mismatch: got PDR %v / %v J, want %v / %v J",
 			got.PDR.Mean(), got.TotalJoules.Mean(), want.PDR.Mean(), want.TotalJoules.Mean())
 	}
+	if s.SimRuns() != 2 {
+		t.Fatalf("SimRuns = %d, want 2", s.SimRuns())
+	}
 }
 
 // TestRunnerPropagatesError checks that an invalid cell surfaces its
-// simulation error from the middle of a parallel batch.
+// simulation error from the middle of a pooled batch.
 func TestRunnerPropagatesError(t *testing.T) {
-	good := scenario.PaperDefaults()
-	good.Nodes = 5
-	good.Connections = 1
-	good.Duration = scenario.PaperDefaults().Duration / 100
+	s := NewSuite(tiny(), nil)
+	s.SetWorkers(4)
+	good := s.config(runKey{scheme: scenario.SchemeRcast, rate: tiny().LowRate})
+	good.Duration /= 4
 	bad := good
 	bad.Nodes = 1 // rejected by config validation
-	r := Runner{Workers: 4}
-	_, err := r.Run(context.Background(), []RunSpec{{Cfg: good}, {Cfg: bad}, {Cfg: good}})
-	if err == nil {
+	if _, err := s.run([]scenario.Config{good, bad, good}); err == nil {
 		t.Fatal("invalid cell did not error")
 	}
 }
 
-// TestRunnerCancelled checks that a cancelled context stops the batch and
-// is reported, on both the serial and parallel paths.
+// TestRunnerCancelled checks that a cancelled context stops the suite and
+// is reported as a cancelled run, on both the inline and pooled paths.
 func TestRunnerCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := scenario.PaperDefaults()
-	cfg.Nodes = 5
-	cfg.Connections = 1
 	for _, workers := range []int{1, 4} {
-		r := Runner{Workers: workers}
-		_, err := r.Run(ctx, []RunSpec{{Cfg: cfg, Reps: 2}})
-		if err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		s := NewSuite(tiny(), nil)
+		s.SetWorkers(workers)
+		s.SetContext(ctx)
+		_, err := s.Table("table1")
+		if !errors.Is(err, scenario.ErrCanceled) {
+			t.Fatalf("workers=%d: err = %v, want scenario.ErrCanceled", workers, err)
 		}
 	}
 }
 
-// TestTraceForcesSerial checks that a spec carrying a trace sink (whose
-// sinks are not safe for concurrent emission) still runs correctly.
+// TestTraceForcesSerial checks that a suite with a trace sink (whose
+// sinks are not safe for concurrent emission) still runs correctly on a
+// many-worker setting.
 func TestTraceForcesSerial(t *testing.T) {
-	cfg := scenario.PaperDefaults()
-	cfg.Nodes = 5
-	cfg.Connections = 1
-	cfg.Duration = scenario.PaperDefaults().Duration / 100
-	cfg.Trace = discardSink{}
-	r := Runner{Workers: 8}
-	aggs, err := r.Run(context.Background(), []RunSpec{{Cfg: cfg, Reps: 2}})
+	s := NewSuite(tiny(), nil)
+	s.SetWorkers(8)
+	s.SetTrace(discardSink{})
+	tab, err := s.Table("a3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(aggs) != 1 || len(aggs[0].Results) != 2 {
-		t.Fatalf("unexpected shape: %d aggs", len(aggs))
+	if len(tab.Rows) != 2 || len(tab.Rows[0].Agg.Results) != 1 {
+		t.Fatalf("unexpected shape: %d rows", len(tab.Rows))
 	}
 }
 

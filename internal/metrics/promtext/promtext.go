@@ -1,6 +1,6 @@
 // Package promtext is a dependency-free Prometheus text-format (version
 // 0.0.4) exposition library for the serving layer: counters, gauges,
-// labelled counter vectors and histograms registered in a Registry that
+// labelled counter and gauge families and histograms registered in a Registry that
 // writes a deterministic /metrics page — metrics sorted by name, label
 // values sorted within a metric — so scrapes and tests see a stable
 // ordering. All instruments are safe for concurrent use.
@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -176,241 +178,117 @@ func (g *GaugeFunc) write(w io.Writer) error {
 	return err
 }
 
-// Sample2 is one sample of a two-label family, produced by a
-// GaugeFuncVec2 callback at scrape time.
-type Sample2 struct {
-	L1, L2 string
+// Family is a counter or gauge family partitioned by one or more labels
+// (jobs by state, runs by channel and policy, per-worker health). Its
+// children are created on first use. A family registered with a sampling
+// callback (NewGaugeFuncFamily) reads its samples at scrape time instead.
+// Either way, samples render sorted by label values, so the page is
+// deterministic regardless of update or callback order.
+type Family struct {
+	nm, help, typ string
+	labels        []string
+	fn            func() []Sample
+
+	mu       sync.Mutex
+	children map[string]*Sample
+}
+
+// Sample is one child of a family: its label values, in the family's
+// label order, and its value.
+type Sample struct {
+	Values []string
 	V      int64
 }
 
-// GaugeFuncVec2 samples a two-label gauge family from a callback at
-// scrape time (tallies that already live elsewhere, e.g. per-scheme
-// trace-event counters). The page stays deterministic regardless of
-// callback ordering: samples are sorted by (L1, L2) before rendering.
-type GaugeFuncVec2 struct {
-	nm, help, label1, label2 string
-	fn                       func() []Sample2
+func (r *Registry) newFamily(name, help, typ string, labels []string, fn func() []Sample) *Family {
+	f := &Family{nm: name, help: help, typ: typ, labels: labels, fn: fn, children: make(map[string]*Sample)}
+	r.register(f)
+	return f
 }
 
-// NewGaugeFuncVec2 registers a callback-backed two-label gauge family.
-// fn must be safe for concurrent use.
-func (r *Registry) NewGaugeFuncVec2(name, help, label1, label2 string, fn func() []Sample2) *GaugeFuncVec2 {
-	g := &GaugeFuncVec2{nm: name, help: help, label1: label1, label2: label2, fn: fn}
-	r.register(g)
-	return g
+// NewCounterFamily registers a counter family over the given labels.
+func (r *Registry) NewCounterFamily(name, help string, labels ...string) *Family {
+	return r.newFamily(name, help, "counter", labels, nil)
 }
 
-func (g *GaugeFuncVec2) name() string { return g.nm }
+// NewGaugeFamily registers a gauge family over the given labels.
+func (r *Registry) NewGaugeFamily(name, help string, labels ...string) *Family {
+	return r.newFamily(name, help, "gauge", labels, nil)
+}
 
-func (g *GaugeFuncVec2) write(w io.Writer) error {
-	if err := writeHeader(w, g.nm, g.help, "gauge"); err != nil {
-		return err
+// NewGaugeFuncFamily registers a gauge family sampled from fn at scrape
+// time (tallies that already live elsewhere, e.g. per-scheme trace-event
+// counters). fn must be safe for concurrent use.
+func (r *Registry) NewGaugeFuncFamily(name, help string, labels []string, fn func() []Sample) *Family {
+	return r.newFamily(name, help, "gauge", labels, fn)
+}
+
+// child returns the sample for the given label values, creating it on
+// first use; callers hold f.mu. A wrong number of values is a programming
+// error and panics.
+func (f *Family) child(values []string) *Sample {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("promtext: %s takes %d label values, got %d", f.nm, len(f.labels), len(values)))
 	}
-	samples := g.fn()
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].L1 != samples[j].L1 {
-			return samples[i].L1 < samples[j].L1
-		}
-		return samples[i].L2 < samples[j].L2
-	})
-	for _, s := range samples {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q,%s=%q} %d\n", g.nm, g.label1, s.L1, g.label2, s.L2, s.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CounterVec is a counter family partitioned by one label.
-type CounterVec struct {
-	nm, help, label string
-
-	mu sync.Mutex
-	m  map[string]*atomic.Uint64
-}
-
-// NewCounterVec registers a one-label counter family.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	cv := &CounterVec{nm: name, help: help, label: label, m: make(map[string]*atomic.Uint64)}
-	r.register(cv)
-	return cv
-}
-
-// Inc adds one to the child for the given label value.
-func (cv *CounterVec) Inc(value string) {
-	cv.mu.Lock()
-	c, ok := cv.m[value]
+	k := strings.Join(values, "\x00")
+	c, ok := f.children[k]
 	if !ok {
-		c = new(atomic.Uint64)
-		cv.m[value] = c
+		c = &Sample{Values: append([]string(nil), values...)}
+		f.children[k] = c
 	}
-	cv.mu.Unlock()
-	c.Add(1)
+	return c
 }
 
-// Value returns the count for one label value (0 if never incremented).
-func (cv *CounterVec) Value(value string) uint64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if c, ok := cv.m[value]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-func (cv *CounterVec) name() string { return cv.nm }
-
-func (cv *CounterVec) write(w io.Writer) error {
-	if err := writeHeader(w, cv.nm, cv.help, "counter"); err != nil {
-		return err
-	}
-	cv.mu.Lock()
-	values := make([]string, 0, len(cv.m))
-	for v := range cv.m {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	counts := make([]uint64, len(values))
-	for i, v := range values {
-		counts[i] = cv.m[v].Load()
-	}
-	cv.mu.Unlock()
-	for i, v := range values {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", cv.nm, cv.label, v, counts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CounterVec2 is a counter family partitioned by two labels (e.g. runs
-// by propagation model and overhearing policy).
-type CounterVec2 struct {
-	nm, help, label1, label2 string
-
-	mu sync.Mutex
-	m  map[[2]string]*atomic.Uint64
-}
-
-// NewCounterVec2 registers a two-label counter family.
-func (r *Registry) NewCounterVec2(name, help, label1, label2 string) *CounterVec2 {
-	cv := &CounterVec2{nm: name, help: help, label1: label1, label2: label2, m: make(map[[2]string]*atomic.Uint64)}
-	r.register(cv)
-	return cv
+// Add adds n to the child for the given label values.
+func (f *Family) Add(n int64, values ...string) {
+	f.mu.Lock()
+	f.child(values).V += n
+	f.mu.Unlock()
 }
 
 // Inc adds one to the child for the given label values.
-func (cv *CounterVec2) Inc(v1, v2 string) {
-	k := [2]string{v1, v2}
-	cv.mu.Lock()
-	c, ok := cv.m[k]
-	if !ok {
-		c = new(atomic.Uint64)
-		cv.m[k] = c
-	}
-	cv.mu.Unlock()
-	c.Add(1)
+func (f *Family) Inc(values ...string) { f.Add(1, values...) }
+
+// Set replaces the value of the child for the given label values.
+func (f *Family) Set(v int64, values ...string) {
+	f.mu.Lock()
+	f.child(values).V = v
+	f.mu.Unlock()
 }
 
-// Value returns the count for one label pair (0 if never incremented).
-func (cv *CounterVec2) Value(v1, v2 string) uint64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if c, ok := cv.m[[2]string{v1, v2}]; ok {
-		return c.Load()
+// Value returns one child's value (0 if never touched).
+func (f *Family) Value(values ...string) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.children[strings.Join(values, "\x00")]; ok {
+		return c.V
 	}
 	return 0
 }
 
-func (cv *CounterVec2) name() string { return cv.nm }
+func (f *Family) name() string { return f.nm }
 
-func (cv *CounterVec2) write(w io.Writer) error {
-	if err := writeHeader(w, cv.nm, cv.help, "counter"); err != nil {
+func (f *Family) write(w io.Writer) error {
+	if err := writeHeader(w, f.nm, f.help, f.typ); err != nil {
 		return err
 	}
-	cv.mu.Lock()
-	keys := make([][2]string, 0, len(cv.m))
-	for k := range cv.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	var samples []Sample
+	if f.fn != nil {
+		samples = f.fn()
+	} else {
+		f.mu.Lock()
+		for _, c := range f.children {
+			samples = append(samples, *c)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	counts := make([]uint64, len(keys))
-	for i, k := range keys {
-		counts[i] = cv.m[k].Load()
+		f.mu.Unlock()
 	}
-	cv.mu.Unlock()
-	for i, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q,%s=%q} %d\n", cv.nm, cv.label1, k[0], cv.label2, k[1], counts[i]); err != nil {
-			return err
+	slices.SortFunc(samples, func(a, b Sample) int { return slices.Compare(a.Values, b.Values) })
+	for _, s := range samples {
+		pairs := make([]string, len(f.labels))
+		for i, l := range f.labels {
+			pairs[i] = fmt.Sprintf("%s=%q", l, s.Values[i])
 		}
-	}
-	return nil
-}
-
-// GaugeVec is a gauge family partitioned by one label (e.g. per-worker
-// health in a fleet).
-type GaugeVec struct {
-	nm, help, label string
-
-	mu sync.Mutex
-	m  map[string]*atomic.Int64
-}
-
-// NewGaugeVec registers a one-label gauge family.
-func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	gv := &GaugeVec{nm: name, help: help, label: label, m: make(map[string]*atomic.Int64)}
-	r.register(gv)
-	return gv
-}
-
-func (gv *GaugeVec) child(value string) *atomic.Int64 {
-	gv.mu.Lock()
-	g, ok := gv.m[value]
-	if !ok {
-		g = new(atomic.Int64)
-		gv.m[value] = g
-	}
-	gv.mu.Unlock()
-	return g
-}
-
-// Set replaces the value of the child for the given label value.
-func (gv *GaugeVec) Set(value string, v int64) { gv.child(value).Store(v) }
-
-// Value returns one child's value (0 if never set).
-func (gv *GaugeVec) Value(value string) int64 {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	if g, ok := gv.m[value]; ok {
-		return g.Load()
-	}
-	return 0
-}
-
-func (gv *GaugeVec) name() string { return gv.nm }
-
-func (gv *GaugeVec) write(w io.Writer) error {
-	if err := writeHeader(w, gv.nm, gv.help, "gauge"); err != nil {
-		return err
-	}
-	gv.mu.Lock()
-	values := make([]string, 0, len(gv.m))
-	for v := range gv.m {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	samples := make([]int64, len(values))
-	for i, v := range values {
-		samples[i] = gv.m[v].Load()
-	}
-	gv.mu.Unlock()
-	for i, v := range values {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", gv.nm, gv.label, v, samples[i]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s{%s} %d\n", f.nm, strings.Join(pairs, ","), s.V); err != nil {
 			return err
 		}
 	}

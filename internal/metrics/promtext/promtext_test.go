@@ -20,7 +20,7 @@ func TestExpositionFormat(t *testing.T) {
 	c := r.NewCounter("test_requests_total", "Requests handled.")
 	g := r.NewGauge("test_depth", "Queue depth.")
 	r.NewGaugeFunc("test_capacity", "Queue capacity.", func() int64 { return 8 })
-	cv := r.NewCounterVec("test_jobs_total", "Jobs by state.", "state")
+	cv := r.NewCounterFamily("test_jobs_total", "Jobs by state.", "state")
 	h := r.NewHistogram("test_latency_seconds", "Run latency.", []float64{0.1, 1, 10})
 
 	c.Add(3)
@@ -62,7 +62,7 @@ test_requests_total 3
 
 func TestExpositionDeterministic(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("x_total", "x", "k")
+	cv := r.NewCounterFamily("x_total", "x", "k")
 	for _, v := range []string{"b", "a", "c"} {
 		cv.Inc(v)
 	}
@@ -109,7 +109,7 @@ func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "c")
 	g := r.NewGauge("g", "g")
-	cv := r.NewCounterVec("v_total", "v", "s")
+	cv := r.NewCounterFamily("v_total", "v", "s")
 	h := r.NewHistogram("h_seconds", "h", []float64{1})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -134,10 +134,10 @@ func TestConcurrentUse(t *testing.T) {
 
 func TestGaugeVec(t *testing.T) {
 	r := NewRegistry()
-	gv := r.NewGaugeVec("test_worker_up", "Worker health.", "worker")
-	gv.Set("http://b:1", 1)
-	gv.Set("http://a:1", 1)
-	gv.Set("http://b:1", 0)
+	gv := r.NewGaugeFamily("test_worker_up", "Worker health.", "worker")
+	gv.Set(1, "http://b:1")
+	gv.Set(1, "http://a:1")
+	gv.Set(0, "http://b:1")
 	if got := gv.Value("http://a:1"); got != 1 {
 		t.Errorf("Value(a) = %d, want 1", got)
 	}
@@ -160,7 +160,7 @@ test_worker_up{worker="http://b:1"} 0
 
 func TestCounterVec2(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec2("test_runs_total", "Runs by channel and policy.", "channel", "policy")
+	cv := r.NewCounterFamily("test_runs_total", "Runs by channel and policy.", "channel", "policy")
 	cv.Inc("fading", "rcast")
 	cv.Inc("disk", "rcast")
 	cv.Inc("disk", "battery")
@@ -186,7 +186,7 @@ test_runs_total{channel="fading",policy="rcast"} 1
 
 func TestCounterVec2Concurrent(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec2("test_conc_total", "Concurrency check.", "a", "b")
+	cv := r.NewCounterFamily("test_conc_total", "Concurrency check.", "a", "b")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -205,12 +205,12 @@ func TestCounterVec2Concurrent(t *testing.T) {
 
 func TestGaugeFuncVec2SortedOutput(t *testing.T) {
 	r := NewRegistry()
-	r.NewGaugeFuncVec2("demo_events", "Demo family.", "scheme", "kind", func() []Sample2 {
-		// Deliberately unsorted: the writer must order by (L1, L2).
-		return []Sample2{
-			{L1: "psm", L2: "wake", V: 3},
-			{L1: "always-on", L2: "deliver", V: 7},
-			{L1: "psm", L2: "deliver", V: 5},
+	r.NewGaugeFuncFamily("demo_events", "Demo family.", []string{"scheme", "kind"}, func() []Sample {
+		// Deliberately unsorted: the writer must order by label values.
+		return []Sample{
+			{Values: []string{"psm", "wake"}, V: 3},
+			{Values: []string{"always-on", "deliver"}, V: 7},
+			{Values: []string{"psm", "deliver"}, V: 5},
 		}
 	})
 	want := `# HELP demo_events Demo family.
@@ -226,9 +226,25 @@ demo_events{scheme="psm",kind="wake"} 3
 
 func TestGaugeFuncVec2Empty(t *testing.T) {
 	r := NewRegistry()
-	r.NewGaugeFuncVec2("empty_fam", "Empty family.", "a", "b", func() []Sample2 { return nil })
+	r.NewGaugeFuncFamily("empty_fam", "Empty family.", []string{"a", "b"}, func() []Sample { return nil })
 	want := "# HELP empty_fam Empty family.\n# TYPE empty_fam gauge\n"
 	if got := render(t, r); got != want {
 		t.Fatalf("exposition mismatch: %q", got)
 	}
+}
+
+func TestFamilyAddAndLabelCount(t *testing.T) {
+	r := NewRegistry()
+	f := r.NewCounterFamily("cells_total", "Cells by source.", "source")
+	f.Add(3, "computed")
+	f.Inc("computed")
+	if got := f.Value("computed"); got != 4 {
+		t.Fatalf("Value = %d, want 4", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong label count did not panic")
+		}
+	}()
+	f.Inc("computed", "extra")
 }

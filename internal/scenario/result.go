@@ -104,9 +104,13 @@ func Run(cfg Config) (*Result, error) {
 // RunContext is Run with cooperative cancellation: the scheduler polls
 // ctx every stopCheckEvery events and a cancelled (or deadline-expired)
 // context abandons the run promptly, returning an error wrapping both
-// ErrCanceled and the context's cause. A context that never cancels
-// changes nothing about the run.
+// ErrCanceled and the context's cause; a context already done when
+// RunContext is called does not start the run at all. A context that
+// never cancels changes nothing about the run.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("scenario: run not started: %w", errors.Join(ErrCanceled, context.Cause(ctx)))
+	}
 	w, err := newWorld(cfg)
 	if err != nil {
 		return nil, err
@@ -299,91 +303,108 @@ func AggregateResults(results []*Result) *Aggregate {
 // RunReplications runs cfg reps times with per-replication seeds derived
 // by sim.ReplicationSeed and aggregates the headline metrics.
 func RunReplications(cfg Config, reps int) (*Aggregate, error) {
-	return RunReplicationsWorkers(cfg, reps, 1)
+	return RunReplicationsContext(context.Background(), cfg, reps, 1)
 }
 
-// RunReplicationsWorkers is RunReplications with the replications fanned
-// across at most workers goroutines; see RunReplicationsContext.
-func RunReplicationsWorkers(cfg Config, reps, workers int) (*Aggregate, error) {
-	return RunReplicationsContext(context.Background(), cfg, reps, workers)
-}
-
-// RunReplicationsContext fans the replications across at most workers
-// goroutines under a cancellation context. Each replication derives its own
-// seed (sim.ReplicationSeed(cfg.Seed, i)) and builds a private world, so runs
-// share no RNG or scheduler state; results merge in replication order,
-// making the aggregate identical for every worker count. workers <= 0
-// selects runtime.GOMAXPROCS(0). A non-nil cfg.Trace forces workers = 1:
-// replications would otherwise emit concurrently into one sink. Cancelling
-// ctx stops in-flight replications promptly (see RunContext) and the first
-// error wins.
+// RunReplicationsContext is RunReplications as a one-config RunBatch:
+// the replications fan across at most workers goroutines under a
+// cancellation context, and the aggregate is identical for every worker
+// count.
 func RunReplicationsContext(ctx context.Context, cfg Config, reps, workers int) (*Aggregate, error) {
-	if reps < 1 {
-		reps = 1
+	aggs, err := RunBatch(ctx, workers, reps, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return aggs[0], nil
+}
+
+// RunBatch runs reps replications (at least one) of every config on one
+// ForEach pool and returns one Aggregate per config, in input order.
+// Replication r of a config runs with seed sim.ReplicationSeed(cfg.Seed, r)
+// in a private world, so runs share no RNG or scheduler state; runs are
+// numbered config-major, which is the order workers = 1 executes them in,
+// and results merge in that order, making the aggregates identical for
+// every worker count. A config with a Trace sink forces workers = 1,
+// because sinks are not safe for concurrent emission. Cancelling ctx
+// stops in-flight runs mid-event-loop (see RunContext). A failed run's
+// error names its scheme, rate and seed.
+func RunBatch(ctx context.Context, workers, reps int, cfgs ...Config) ([]*Aggregate, error) {
+	reps = max(reps, 1)
+	for _, cfg := range cfgs {
+		if cfg.Trace != nil {
+			workers = 1
+		}
 	}
-	if cfg.Trace != nil {
-		workers = 1
-	}
-	if workers > reps {
-		workers = reps
-	}
-	results := make([]*Result, reps)
-	runRep := func(i int) error {
-		c := cfg
-		c.Seed = sim.ReplicationSeed(cfg.Seed, i)
-		res, err := RunContext(ctx, c)
+	results := make([]*Result, len(cfgs)*reps)
+	err := ForEach(ctx, workers, len(results), func(ctx context.Context, i int) error {
+		cfg := cfgs[i/reps]
+		cfg.Seed = sim.ReplicationSeed(cfg.Seed, i%reps)
+		res, err := RunContext(ctx, cfg)
 		if err != nil {
-			return err
+			return fmt.Errorf("%v rate=%.1f seed=%d: %w", cfg.Scheme, cfg.PacketRate, cfg.Seed, err)
 		}
 		results[i] = res
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers == 1 {
-		for i := range results {
-			if err := runRep(i); err != nil {
-				return nil, err
+	aggs := make([]*Aggregate, len(cfgs))
+	for i := range aggs {
+		aggs[i] = AggregateResults(results[i*reps : (i+1)*reps])
+	}
+	return aggs, nil
+}
+
+// ForEach calls do(ctx, i) for every i in [0, n) across at most workers
+// goroutines (workers <= 0 selects runtime.GOMAXPROCS(0)) and returns the
+// first error. With one worker every call runs inline on the caller's
+// goroutine, in index order, and the first error ends the loop. With
+// more, workers pull indices from a shared counter; the first error
+// stops the dispatch of further indices and cancels the context handed
+// to the calls still running. ForEach never skips an index without
+// returning an error: cancelling ctx is left to do to notice (RunContext
+// polls it), so a cancelled batch reports do's error.
+func ForEach(ctx context.Context, workers, n int, do func(ctx context.Context, i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := do(ctx, i); err != nil {
+				return err
 			}
 		}
-		return AggregateResults(results), nil
+		return nil
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
+		failed   atomic.Bool
 		firstErr error
+		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= reps {
+				if i >= n {
 					return
 				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				if err := runRep(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
+				if err := do(ctx, i); err != nil {
+					if failed.CompareAndSwap(false, true) {
 						firstErr = err
+						cancel()
 					}
-					mu.Unlock()
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return AggregateResults(results), nil
+	return firstErr
 }

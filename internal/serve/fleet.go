@@ -67,13 +67,13 @@ func NewCoordinator(opts Options, fleet FleetOptions) (*Server, error) {
 	f := &fleetExecutor{
 		s:    s,
 		opts: fleet,
-		mWorkerUp: s.reg.NewGaugeVec("rcast_serve_fleet_worker_up",
+		mWorkerUp: s.reg.NewGaugeFamily("rcast_serve_fleet_worker_up",
 			"Per-worker fleet health (1 = dispatchable, 0 = lost).", "worker"),
 	}
 	for _, u := range fleet.Workers {
 		w := &fleetWorker{url: u}
 		f.workers = append(f.workers, w)
-		f.mWorkerUp.Set(u, 1)
+		f.mWorkerUp.Set(1, u)
 	}
 	s.sweepExec = f
 	return s, nil
@@ -93,7 +93,7 @@ type fleetExecutor struct {
 	s         *Server
 	opts      FleetOptions
 	workers   []*fleetWorker
-	mWorkerUp *promtext.GaugeVec
+	mWorkerUp *promtext.Family
 }
 
 // cellError classifies a dispatch failure.
@@ -118,39 +118,30 @@ func lossErr(format string, args ...any) *cellError {
 }
 
 // fleetTask is one unit of the shared work queue: an index into the
-// sweep's deduplicated key order plus its retry count.
+// sweep's unique groups (one dispatch per unique config) plus its retry
+// count.
 type fleetTask struct {
-	k        int
+	u        int
 	attempts int
 }
 
 func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, error) {
 	s := f.s
-	results := make([][]byte, len(sw.cells))
-
-	// Deduplicate cells by canonical key: one dispatch per unique config.
-	byKey := make(map[string][]int)
-	var keyOrder []string
-	for i, c := range sw.cells {
-		if _, seen := byKey[c.Key]; !seen {
-			keyOrder = append(keyOrder, c.Key)
-		}
-		byKey[c.Key] = append(byKey[c.Key], i)
-	}
+	results := make([][]byte, len(sw.unique))
 
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
 	// The queue is sized to hold every task at once, so requeues (which
 	// can come from timer goroutines) never block.
-	work := make(chan fleetTask, len(keyOrder))
-	for k := range keyOrder {
-		work <- fleetTask{k: k}
+	work := make(chan fleetTask, len(sw.unique))
+	for u := range sw.unique {
+		work <- fleetTask{u: u}
 	}
 
 	var (
 		mu        sync.Mutex
-		remaining = len(keyOrder)
+		remaining = len(sw.unique)
 		firstErr  error
 	)
 	done := make(chan struct{})
@@ -162,28 +153,19 @@ func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, erro
 		mu.Unlock()
 		cancel(err)
 	}
-	finishKey := func(k int, body []byte, source, workerURL string) {
-		idxs := byKey[keyOrder[k]]
+	finish := func(u int, body []byte, source, workerURL string) {
 		mu.Lock()
-		for _, i := range idxs {
-			results[i] = body
-		}
+		results[u] = body
 		remaining--
 		last := remaining == 0
 		mu.Unlock()
-		for _, i := range idxs {
-			s.mFleetCells.Inc(source)
-			sw.cellDone(i, source, workerURL)
-		}
+		s.resolved(sw, u, source, workerURL)
 		if last {
 			close(done)
 		}
 	}
 	requeue := func(t fleetTask) {
-		idxs := byKey[keyOrder[t.k]]
-		for _, i := range idxs {
-			sw.cellRetried(i)
-		}
+		sw.cellRetried(t.u)
 		s.mFleetRetries.Inc()
 		delay := f.opts.RetryBackoff << t.attempts
 		t.attempts++
@@ -218,14 +200,11 @@ func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, erro
 				case <-done:
 					return
 				case t := <-work:
-					idxs := byKey[keyOrder[t.k]]
-					for _, i := range idxs {
-						sw.cellRunning(i)
-					}
-					cell := &sw.cells[idxs[0]]
+					sw.cellRunning(t.u)
+					cell := &sw.cells[sw.unique[t.u][0]]
 					body, source, fromURL, err := f.resolve(runCtx, sw, w, cell)
 					if err == nil {
-						finishKey(t.k, body, source, fromURL)
+						finish(t.u, body, source, fromURL)
 						continue
 					}
 					var ce *cellError
@@ -249,7 +228,7 @@ func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, erro
 						requeue(t)
 					case cellErrLoss:
 						w.down.Store(true)
-						f.mWorkerUp.Set(w.url, 0)
+						f.mWorkerUp.Set(0, w.url)
 						if t.attempts >= f.opts.MaxRetries {
 							fail(fmt.Errorf("serve: cell %d (%s) failed after %d attempts: %w",
 								cell.Index, cell.Key, t.attempts+1, ce.err))

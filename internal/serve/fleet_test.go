@@ -97,8 +97,8 @@ func serialSweepDoc(t *testing.T, req SweepRequest) []byte {
 // diskRuns sums a worker's executed-run counter across every registered
 // overhearing policy (the sweeps here span schemes with different default
 // policies, so no single label pair sees all runs).
-func diskRuns(s *Server) uint64 {
-	var n uint64
+func diskRuns(s *Server) int64 {
+	var n int64
 	for _, p := range core.PolicyNames() {
 		n += s.mRuns.Value("disk", p)
 	}

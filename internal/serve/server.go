@@ -117,19 +117,19 @@ type Server struct {
 
 	reg           *promtext.Registry
 	mSubmitted    *promtext.Counter
-	mRuns         *promtext.CounterVec2
+	mRuns         *promtext.Family
 	mCacheHits    *promtext.Counter
 	mCacheMisses  *promtext.Counter
 	mCoalesced    *promtext.Counter
-	mRejected     *promtext.CounterVec
-	mJobsTerminal *promtext.CounterVec
+	mRejected     *promtext.Family
+	mJobsTerminal *promtext.Family
 	mRunning      *promtext.Gauge
 	mRunSeconds   *promtext.Histogram
 
 	mSweepsSubmitted *promtext.Counter
-	mSweepsTerminal  *promtext.CounterVec
+	mSweepsTerminal  *promtext.Family
 	mSweepsRunning   *promtext.Gauge
-	mFleetCells      *promtext.CounterVec
+	mFleetCells      *promtext.Family
 	mFleetRetries    *promtext.Counter
 
 	// traceTallies folds trace events from traced jobs into per-scheme
@@ -181,12 +181,12 @@ func New(opts Options) *Server {
 	s.baseCtx, s.forceStop = context.WithCancelCause(context.Background())
 
 	s.mSubmitted = s.reg.NewCounter("rcast_serve_jobs_submitted_total", "Job submissions admitted (cache hits and coalesced submissions included).")
-	s.mRuns = s.reg.NewCounterVec2("rcast_serve_runs_total", "Simulation batches actually executed, by propagation model and overhearing policy (cache hits never increment this).", "channel", "policy")
+	s.mRuns = s.reg.NewCounterFamily("rcast_serve_runs_total", "Simulation batches actually executed, by propagation model and overhearing policy (cache hits never increment this).", "channel", "policy")
 	s.mCacheHits = s.reg.NewCounter("rcast_serve_cache_hits_total", "Submissions served from the content-addressed result cache.")
 	s.mCacheMisses = s.reg.NewCounter("rcast_serve_cache_misses_total", "Submissions that missed the result cache and were queued.")
 	s.mCoalesced = s.reg.NewCounter("rcast_serve_jobs_coalesced_total", "Submissions attached to an identical in-flight job.")
-	s.mRejected = s.reg.NewCounterVec("rcast_serve_rejected_total", "Rejected submissions by reason.", "reason")
-	s.mJobsTerminal = s.reg.NewCounterVec("rcast_serve_jobs_total", "Jobs reaching a terminal state.", "state")
+	s.mRejected = s.reg.NewCounterFamily("rcast_serve_rejected_total", "Rejected submissions by reason.", "reason")
+	s.mJobsTerminal = s.reg.NewCounterFamily("rcast_serve_jobs_total", "Jobs reaching a terminal state.", "state")
 	s.mRunning = s.reg.NewGauge("rcast_serve_jobs_running", "Jobs currently executing.")
 	s.mRunSeconds = s.reg.NewHistogram("rcast_serve_run_seconds", "Wall-clock latency of executed jobs.",
 		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300})
@@ -200,11 +200,11 @@ func New(opts Options) *Server {
 		return int64(s.cache.Len())
 	})
 	s.mSweepsSubmitted = s.reg.NewCounter("rcast_serve_sweeps_submitted_total", "Sweep submissions admitted (whole-sweep cache hits included).")
-	s.mSweepsTerminal = s.reg.NewCounterVec("rcast_serve_sweeps_total", "Sweeps reaching a terminal state.", "state")
+	s.mSweepsTerminal = s.reg.NewCounterFamily("rcast_serve_sweeps_total", "Sweeps reaching a terminal state.", "state")
 	s.mSweepsRunning = s.reg.NewGauge("rcast_serve_sweeps_running", "Sweeps currently executing.")
-	s.mFleetCells = s.reg.NewCounterVec("rcast_serve_fleet_cells_total", "Sweep cells resolved, by source (computed, local_cache, peer_cache).", "source")
+	s.mFleetCells = s.reg.NewCounterFamily("rcast_serve_fleet_cells_total", "Sweep cells resolved, by source (computed, local_cache, peer_cache).", "source")
 	s.mFleetRetries = s.reg.NewCounter("rcast_serve_fleet_retries_total", "Sweep cells re-dispatched after a fleet worker was lost.")
-	s.reg.NewGaugeFuncVec2("rcast_serve_trace_events", "Trace events observed across traced jobs, by scheme and event kind (updated live while jobs run).", "scheme", "kind", s.traceSamples)
+	s.reg.NewGaugeFuncFamily("rcast_serve_trace_events", "Trace events observed across traced jobs, by scheme and event kind (updated live while jobs run).", []string{"scheme", "kind"}, s.traceSamples)
 
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)

@@ -248,7 +248,12 @@ type Sweep struct {
 	ID  string
 	Key string
 
-	cells   []SweepCell
+	cells []SweepCell
+	// unique groups the cells by canonical key, in first-appearance
+	// order: unique[u] lists every cell index sharing one key. Executors
+	// resolve each group once, through its first cell, and the cell hooks
+	// fan a group's state out to all of its indices.
+	unique  [][]int
 	timeout time.Duration
 
 	mu        sync.Mutex
@@ -375,41 +380,56 @@ func (sw *Sweep) subscribe() (<-chan SweepEvent, func()) {
 	}
 }
 
-// cellRunning marks a cell dispatched/executing.
-func (sw *Sweep) cellRunning(i int) {
+// cellRunning marks every cell of unique group u dispatched/executing.
+func (sw *Sweep) cellRunning(u int) {
 	sw.mu.Lock()
-	sw.cellStats[i].State = StateRunning
-	sw.mu.Unlock()
-}
-
-// cellDone records a completed cell, its source and the worker that
-// supplied it, then broadcasts a "cell" event.
-func (sw *Sweep) cellDone(i int, source, worker string) {
-	sw.mu.Lock()
-	cs := &sw.cellStats[i]
-	cs.State = StateDone
-	cs.Source = source
-	cs.Worker = worker
-	sw.completed++
-	switch source {
-	case CellSourceComputed:
-		sw.computed++
-	case CellSourceCache:
-		sw.localHits++
-	case CellSourcePeerCache:
-		sw.peerHits++
+	for _, i := range sw.unique[u] {
+		sw.cellStats[i].State = StateRunning
 	}
-	snap := *cs
-	sw.broadcastLocked(SweepEvent{Type: "cell", Cell: &snap, Sweep: sw.statusLocked()})
 	sw.mu.Unlock()
 }
 
-// cellRetried counts one retry-on-worker-loss for the status page.
-func (sw *Sweep) cellRetried(i int) {
+// cellDone records every cell of unique group u as completed, with the
+// source and the worker that supplied it, broadcasting one "cell" event
+// per cell.
+func (sw *Sweep) cellDone(u int, source, worker string) {
 	sw.mu.Lock()
-	sw.cellStats[i].State = StateQueued
-	sw.retries++
+	for _, i := range sw.unique[u] {
+		cs := &sw.cellStats[i]
+		cs.State = StateDone
+		cs.Source = source
+		cs.Worker = worker
+		sw.completed++
+		switch source {
+		case CellSourceComputed:
+			sw.computed++
+		case CellSourceCache:
+			sw.localHits++
+		case CellSourcePeerCache:
+			sw.peerHits++
+		}
+		snap := *cs
+		sw.broadcastLocked(SweepEvent{Type: "cell", Cell: &snap, Sweep: sw.statusLocked()})
+	}
 	sw.mu.Unlock()
+}
+
+// cellRetried requeues every cell of unique group u after a worker loss,
+// counting one retry per cell for the status page.
+func (sw *Sweep) cellRetried(u int) {
+	sw.mu.Lock()
+	for _, i := range sw.unique[u] {
+		sw.cellStats[i].State = StateQueued
+		sw.retries++
+	}
+	sw.mu.Unlock()
+}
+
+// resolved records unique group u of sw as done and counts each of its
+// cells on the fleet-cells metric.
+func (s *Server) resolved(sw *Sweep, u int, source, worker string) {
+	s.mFleetCells.Add(int64(len(sw.unique[u])), source)
+	sw.cellDone(u, source, worker)
 }
 
 // setState transitions the sweep, refusing to leave a terminal state, and
@@ -460,10 +480,11 @@ func MarshalSweepResult(key string, cells []SweepCell, results [][]byte) ([]byte
 	return json.Marshal(out)
 }
 
-// sweepExecutor obtains every cell's canonical result bytes. The local
-// executor computes on this process; the fleet executor shards across
-// remote workers. Implementations report per-cell progress through sw's
-// cell hooks and must return results indexed like sw.cells.
+// sweepExecutor obtains the canonical result bytes of every unique group
+// of a sweep (Sweep.unique). The local executor computes on this process;
+// the fleet executor shards across remote workers. Implementations report
+// progress through the per-group cell hooks and must return results
+// indexed like sw.unique.
 type sweepExecutor interface {
 	runSweep(ctx context.Context, sw *Sweep) ([][]byte, error)
 }
@@ -547,8 +568,16 @@ func (s *Server) newSweepLocked(key string, cells []SweepCell, timeout time.Dura
 		submitted: time.Now().UTC(),
 		cellStats: make([]CellStatus, len(cells)),
 	}
+	group := make(map[string]int)
 	for i, c := range cells {
 		sw.cellStats[i] = CellStatus{Index: i, Key: c.Key, State: StateQueued}
+		u, seen := group[c.Key]
+		if !seen {
+			u = len(sw.unique)
+			group[c.Key] = u
+			sw.unique = append(sw.unique, nil)
+		}
+		sw.unique[u] = append(sw.unique[u], i)
 	}
 	return sw
 }
@@ -613,12 +642,18 @@ func (s *Server) runSweep(sw *Sweep) {
 		return
 	}
 	s.mSweepsRunning.Inc()
-	results, err := s.sweepExec.runSweep(ctx, sw)
+	unique, err := s.sweepExec.runSweep(ctx, sw)
 	s.mSweepsRunning.Dec()
 	if err != nil {
 		state, msg := classifySweepError(ctx, err)
 		s.finishSweep(sw, state, msg, nil)
 		return
+	}
+	results := make([][]byte, len(sw.cells))
+	for u, idxs := range sw.unique {
+		for _, i := range idxs {
+			results[i] = unique[u]
+		}
 	}
 	body, err := MarshalSweepResult(sw.Key, sw.cells, results)
 	if err != nil {
@@ -660,91 +695,27 @@ func (s *Server) finishSweep(sw *Sweep, state State, msg string, result []byte) 
 }
 
 // localSweepExecutor computes cells on this process: result cache first,
-// then the same engine call path jobs use. Cells sharing a canonical key
-// are computed once; the worker-pool fan-out is bounded by Options.Workers.
+// then the same engine call path jobs use. Each unique group is computed
+// once, on a scenario.ForEach pool bounded by Options.Workers.
 type localSweepExecutor struct{ s *Server }
 
 func (l localSweepExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, error) {
-	s := l.s
-	results := make([][]byte, len(sw.cells))
-
-	// Group cells by canonical key: no cell is computed twice per sweep,
-	// however the grid was phrased.
-	byKey := make(map[string][]int)
-	var keyOrder []string
-	for i, c := range sw.cells {
-		if _, seen := byKey[c.Key]; !seen {
-			keyOrder = append(keyOrder, c.Key)
+	results := make([][]byte, len(sw.unique))
+	err := scenario.ForEach(ctx, l.s.opts.Workers, len(sw.unique), func(ctx context.Context, u int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		byKey[c.Key] = append(byKey[c.Key], i)
-	}
-
-	workers := s.opts.Workers
-	if workers > len(keyOrder) {
-		workers = len(keyOrder)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	poolCtx, cancelPool := context.WithCancelCause(ctx)
-	defer cancelPool(nil)
-	takeKey := func() (string, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(keyOrder) || firstErr != nil {
-			return "", false
+		sw.cellRunning(u)
+		body, source, err := l.execCell(ctx, sw, &sw.cells[sw.unique[u][0]])
+		if err != nil {
+			return err
 		}
-		k := keyOrder[next]
-		next++
-		return k, true
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancelPool(err)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if poolCtx.Err() != nil {
-					return
-				}
-				key, ok := takeKey()
-				if !ok {
-					return
-				}
-				idxs := byKey[key]
-				for _, i := range idxs {
-					sw.cellRunning(i)
-				}
-				body, source, err := l.execCell(poolCtx, sw, &sw.cells[idxs[0]])
-				if err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				for _, i := range idxs {
-					results[i] = body
-				}
-				mu.Unlock()
-				for _, i := range idxs {
-					s.mFleetCells.Inc(source)
-					sw.cellDone(i, source, "")
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		results[u] = body
+		l.s.resolved(sw, u, source, "")
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

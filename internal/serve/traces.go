@@ -39,11 +39,11 @@ func (s *Server) traceSnapshots() map[string]map[trace.Kind]uint64 {
 
 // traceSamples feeds the rcast_serve_trace_events {scheme,kind} gauge
 // family; promtext sorts the samples, so order here is irrelevant.
-func (s *Server) traceSamples() []promtext.Sample2 {
-	var out []promtext.Sample2
+func (s *Server) traceSamples() []promtext.Sample {
+	var out []promtext.Sample
 	for scheme, kinds := range s.traceSnapshots() {
 		for kind, n := range kinds {
-			out = append(out, promtext.Sample2{L1: scheme, L2: string(kind), V: int64(n)})
+			out = append(out, promtext.Sample{Values: []string{scheme, string(kind)}, V: int64(n)})
 		}
 	}
 	return out

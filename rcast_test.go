@@ -178,13 +178,6 @@ func TestPublicRunReplicationsContext(t *testing.T) {
 	if got.PDR.Mean() != want.PDR.Mean() || got.TotalJoules.Mean() != want.TotalJoules.Mean() {
 		t.Fatal("context path diverges from RunReplications")
 	}
-	workers, err := rcast.RunReplicationsWorkers(cfg, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if workers.PDR.Mean() != want.PDR.Mean() || workers.TotalJoules.Mean() != want.TotalJoules.Mean() {
-		t.Fatal("worker path diverges from RunReplications")
-	}
 }
 
 // TestPublicTracing drives the trace surface through the public API: a

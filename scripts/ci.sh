@@ -8,7 +8,7 @@
 # (audit inert / seeds diverge), the golden-trace corpus gate (every
 # committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
-# invariant-audited experiment smokes (clean and fault-injected) under the
+# an invariant-audited experiment smoke (Table 1 and A8–A10) under the
 # race detector, the end-to-end rcast-serve smoke (race-built daemon:
 # submit/poll/parity/cache/429/drain), and the fleet smoke (coordinator +
 # two race-built workers: sweep sharding, peer-cache fill, serial
@@ -112,17 +112,10 @@ go run ./cmd/rcast-sim -nodes 12 -duration 12s -static -connections 3 -seed 4 \
 cmp "$tmpdir/pol.out" "$tmpdir/pol2.out"
 cmp "$tmpdir/pol.ndjson" "$tmpdir/pol2.ndjson"
 
-echo "== audited smoke (race) =="
-go run -race ./cmd/rcast-bench -profile quick -only table1 -reps 1 -audit > /dev/null
-
-echo "== audited fault-sweep smoke (race) =="
-go run -race ./cmd/rcast-bench -profile quick -only a8 -reps 1 -audit > /dev/null
-
-echo "== audited channel-sweep smoke (race) =="
-go run -race ./cmd/rcast-bench -profile quick -only a9 -reps 1 -audit > /dev/null
-
-echo "== audited tx-power-sweep smoke (race) =="
-go run -race ./cmd/rcast-bench -profile quick -only a10 -reps 1 -audit > /dev/null
+echo "== audited experiment smoke (race) =="
+# Table 1 plus the fault, channel and tx-power sweeps (A8–A10), every run
+# under the invariant audit in one race-built suite.
+go run -race ./cmd/rcast-bench -profile quick -only table1,a8,a9,a10 -reps 1 -audit > /dev/null
 
 echo "== serve smoke (race) =="
 go run ./tools/servesmoke
