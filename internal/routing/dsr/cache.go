@@ -1,6 +1,8 @@
 package dsr
 
 import (
+	"math/bits"
+
 	"rcast/internal/phy"
 	"rcast/internal/sim"
 )
@@ -16,9 +18,27 @@ type Cache struct {
 	lifetime sim.Time // 0 disables timeouts
 	entries  []cacheEntry
 	// keys[i] is hopKey(entries[i].path), kept in lockstep with entries
-	// through every append, eviction, truncation and removal: Add's
-	// prefix scan filters on this dense column before touching a path.
-	keys     []uint64
+	// through every append, eviction, truncation and removal: Add's prefix
+	// scan filters on this dense column before touching a path.
+	keys []uint64
+	// nextSeq is the number the next accepted entry gets. It starts at 1,
+	// so an empty hint slot names no entry, and wraps after 2^32 inserts,
+	// which can only misdirect a hint.
+	nextSeq uint32
+	// entryArr and keyArr are the arrays the two columns live in. Eviction
+	// and expiry re-slice a column past its oldest elements, and pushFIFO
+	// moves the column back to the start of its array when it reaches the
+	// end, so neither is reallocated once the cache is full.
+	entryArr []cacheEntry
+	keyArr   []uint64
+	// hints maps hintSlot(p) to the number of the entry that last covered
+	// a path p hashing there. Only Add writes it, and nothing else keeps
+	// it current: Add checks a hint against the live entry before using
+	// it, so a stale one costs only the scan it would have run anyway.
+	hints [hintSlots]uint32
+	// free holds the backing arrays of evicted, expired and dropped paths
+	// for Add to copy accepted paths into.
+	free     [][]phy.NodeID
 	insertCB func(path []phy.NodeID)
 	evictCB  func(path []phy.NodeID)
 
@@ -31,7 +51,16 @@ type Cache struct {
 type cacheEntry struct {
 	path    []phy.NodeID // path[0] == owner
 	addedAt sim.Time
+	seq     uint32 // the entry's number; numbers ascend along entries
 }
+
+const (
+	// hintSlots is the size of each cache's hint table (1 KB).
+	hintSlots = 256
+	// minPathCap is the smallest backing array a cached path gets, so a
+	// recycled array fits most later paths.
+	minPathCap = 8
+)
 
 // hopKey packs a path's first two hops, path[1] and path[2], into one
 // word: path[1] in the high half, path[2] (all ones for a one-hop path) in
@@ -46,23 +75,35 @@ func hopKey(path []phy.NodeID) uint64 {
 	return uint64(uint32(path[1]))<<32 | low
 }
 
+// hintSlot hashes an owner-rooted path to its hint table slot. path[0] is
+// always the owner, so it is left out.
+func hintSlot(path []phy.NodeID) int {
+	h := uint64(len(path))
+	for _, n := range path[1:] {
+		h = bits.RotateLeft64(h, 11) ^ uint64(n)
+	}
+	return int((h * 0x9e3779b97f4a7c15) >> 56)
+}
+
 // NewCache creates a cache for owner. capacity <= 0 selects the default
 // (64 routes, the ns-2 DSR ballpark); lifetime 0 disables entry timeouts.
 func NewCache(owner phy.NodeID, capacity int, lifetime sim.Time) *Cache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &Cache{owner: owner, capacity: capacity, lifetime: lifetime}
+	return &Cache{owner: owner, capacity: capacity, lifetime: lifetime, nextSeq: 1}
 }
 
 // SetInsertCallback registers a hook fired for every accepted insertion —
 // the paper's role-number metric counts intermediate nodes of inserted
-// routes (§4.2).
+// routes (§4.2). The path is the cache's own storage, valid only during
+// the call: it is reused once the route leaves the cache.
 func (c *Cache) SetInsertCallback(cb func(path []phy.NodeID)) { c.insertCB = cb }
 
 // SetEvictCallback registers a hook fired for every capacity eviction
 // with the evicted path. Timeout expiry is not reported — only FIFO
-// pressure, the signal lifecycle tracing cares about.
+// pressure, the signal lifecycle tracing cares about. The path is valid
+// only during the call: its storage is recycled when the call returns.
 func (c *Cache) SetEvictCallback(cb func(path []phy.NodeID)) { c.evictCB = cb }
 
 // Len returns the number of cached routes.
@@ -71,7 +112,12 @@ func (c *Cache) Len() int { return len(c.entries) }
 // Clear drops every cached route (node crash: a recovered node restarts
 // with amnesia). Lifetime statistics survive; the insert callback stays
 // installed.
-func (c *Cache) Clear() { c.truncate(0) }
+func (c *Cache) Clear() {
+	for _, e := range c.entries {
+		c.recycle(e.path)
+	}
+	c.truncate(0)
+}
 
 // Stats returns (inserts, evictions, hits, misses).
 func (c *Cache) Stats() (inserts, evictions, hits, misses uint64) {
@@ -83,7 +129,20 @@ func (c *Cache) Stats() (inserts, evictions, hits, misses uint64) {
 // duplicates and routes already present as a prefix of a cached route are
 // ignored. Returns true if the cache changed.
 func (c *Cache) Add(now sim.Time, path []phy.NodeID) bool {
-	if len(path) < 2 || path[0] != c.owner || hasDuplicates(path) {
+	if len(path) < 2 || path[0] != c.owner {
+		return false
+	}
+	// A hint is a guess. It holds only if the entry it names is still
+	// cached, still covers the path (RemoveLink may have cut it since) and
+	// outlives expire(now). A covered path is loop-free, as every cached
+	// route is, so the loop check is skipped, and expire runs as it would
+	// have for any well-formed path.
+	slot := &c.hints[hintSlot(path)]
+	if i := c.seqIndex(*slot); i >= 0 && isPrefix(path, c.entries[i].path) && !c.expired(now, c.entries[i]) {
+		c.expire(now)
+		return false
+	}
+	if hasDuplicates(path) {
 		return false
 	}
 	c.expire(now)
@@ -99,28 +158,66 @@ func (c *Cache) Add(now sim.Time, path []phy.NodeID) bool {
 	keys := c.keys
 	for i := len(keys) - 1; i >= 0; i-- {
 		if (keys[i]^key)&mask == 0 && isPrefix(path, c.entries[i].path) {
+			*slot = c.entries[i].seq
 			return false
 		}
 	}
-	cp := make([]phy.NodeID, len(path))
+	cp := c.pathBuf(len(path))
 	copy(cp, path)
-	c.entries = append(c.entries, cacheEntry{path: cp, addedAt: now})
-	c.keys = append(c.keys, key)
+	*slot = c.nextSeq // the new entry covers the path
+	c.entries = pushFIFO(c.entries, &c.entryArr, cacheEntry{path: cp, addedAt: now, seq: c.nextSeq})
+	c.keys = pushFIFO(c.keys, &c.keyArr, key)
+	c.nextSeq++
 	c.inserts++
 	if c.insertCB != nil {
 		c.insertCB(cp)
 	}
 	for len(c.entries) > c.capacity {
 		evicted := c.entries[0].path
-		c.entries = c.entries[1:]
-		c.keys = c.keys[1:]
+		c.dropFront(1)
 		c.evictions++
 		if c.evictCB != nil {
 			c.evictCB(evicted)
 		}
+		c.recycle(evicted)
 	}
 	return true
 }
+
+// seqIndex returns the index of the entry numbered seq, or -1. Numbers
+// ascend along the entries and entries leave from the front, except that
+// RemoveLink may drop one anywhere, so the entry, unless it has left,
+// sits nextSeq−seq places from the end, or nearer if RemoveLink dropped a
+// newer entry. Only the first place is tried: after such a drop the hint
+// fails and the scan finds the entry.
+func (c *Cache) seqIndex(seq uint32) int {
+	back := uint(c.nextSeq - seq)
+	if back == 0 || back > uint(len(c.entries)) {
+		return -1
+	}
+	i := len(c.entries) - int(back)
+	if c.entries[i].seq != seq {
+		return -1
+	}
+	return i
+}
+
+// pathBuf returns storage for an n-node path: the most recently freed
+// backing array when it is large enough, a new one otherwise.
+func (c *Cache) pathBuf(n int) []phy.NodeID {
+	if k := len(c.free) - 1; k >= 0 {
+		buf := c.free[k]
+		c.free[k] = nil
+		c.free = c.free[:k]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]phy.NodeID, n, max(n, minPathCap))
+}
+
+// recycle hands a path that left the cache to the free list.
+func (c *Cache) recycle(path []phy.NodeID) { c.free = append(c.free, path[:0]) }
 
 // Find returns the shortest cached route from the owner to dst (inclusive
 // of both endpoints), or nil. Routes passing through dst are truncated at
@@ -163,30 +260,36 @@ func (c *Cache) HasRouteTo(now sim.Time, dst phy.NodeID) bool {
 // using it is truncated just before the link; truncations shorter than two
 // nodes are dropped. Returns the number of affected routes.
 func (c *Cache) RemoveLink(a, b phy.NodeID) int {
-	affected := 0
-	n := 0
-	for _, e := range c.entries {
-		cut := len(e.path)
-		for i := 0; i+1 < len(e.path); i++ {
-			x, y := e.path[i], e.path[i+1]
-			if (x == a && y == b) || (x == b && y == a) {
-				cut = i + 1
-				break
-			}
-		}
-		if cut < len(e.path) {
+	affected, n := 0, 0
+	for i, e := range c.entries {
+		key := c.keys[i]
+		if cut := linkCut(e.path, a, b); cut < len(e.path) {
 			affected++
 			if cut < 2 {
+				c.recycle(e.path)
 				continue
 			}
 			e.path = e.path[:cut]
+			key = hopKey(e.path)
 		}
-		c.entries[n] = e
-		c.keys[n] = hopKey(e.path)
+		c.entries[n], c.keys[n] = e, key
 		n++
 	}
 	c.truncate(n)
 	return affected
+}
+
+// linkCut returns the length path is cut to by removing the link a–b in
+// either direction: the index of the link's second node, or len(path) if
+// the path does not use the link.
+func linkCut(path []phy.NodeID, a, b phy.NodeID) int {
+	for i := 0; i+1 < len(path); i++ {
+		x, y := path[i], path[i+1]
+		if (x == a && y == b) || (x == b && y == a) {
+			return i + 1
+		}
+	}
+	return len(path)
 }
 
 // Routes returns copies of all cached routes (for inspection/metrics).
@@ -202,31 +305,51 @@ func (c *Cache) Routes(now sim.Time) [][]phy.NodeID {
 }
 
 // expire drops entries older than the lifetime. Entries are appended with
-// the then-current time and only ever removed from the front, so addedAt is
-// nondecreasing across the slice and the oldest entry alone decides whether
-// anything can have expired.
+// the then-current time and only ever removed from the front or in place,
+// so addedAt is nondecreasing across the slice and the expired entries
+// are a prefix of it.
 func (c *Cache) expire(now sim.Time) {
-	if c.lifetime <= 0 || len(c.entries) == 0 {
+	if c.lifetime <= 0 {
 		return
 	}
-	if now-c.entries[0].addedAt <= c.lifetime {
-		return
+	k := 0
+	for k < len(c.entries) && c.expired(now, c.entries[k]) {
+		c.recycle(c.entries[k].path)
+		k++
 	}
-	n := 0
-	for i, e := range c.entries {
-		if now-e.addedAt <= c.lifetime {
-			c.entries[n] = e
-			c.keys[n] = c.keys[i]
-			n++
-		}
-	}
-	c.truncate(n)
+	c.dropFront(k)
 }
 
-// truncate keeps the first n entries and their keys, zeroing the dropped
-// entries so their paths are collectable.
+// expired reports whether e is older than the lifetime at now.
+func (c *Cache) expired(now sim.Time, e cacheEntry) bool {
+	return c.lifetime > 0 && now-e.addedAt > c.lifetime
+}
+
+// dropFront removes the k oldest entries by re-slicing the columns past
+// them; pushFIFO reclaims the room.
+func (c *Cache) dropFront(k int) {
+	c.entries = c.entries[k:]
+	c.keys = c.keys[k:]
+}
+
+// pushFIFO appends v to the column s, which lives in *arr. A full column
+// with room before it, left by dropFront, first moves back to the start of
+// *arr; a column that must grow moves to a new array, which becomes *arr.
+func pushFIFO[T any](s []T, arr *[]T, v T) []T {
+	if len(s) == cap(s) && cap(s) < cap(*arr) {
+		s = append((*arr)[:0], s...)
+	}
+	s = append(s, v)
+	if cap(s) > cap(*arr) {
+		*arr = s
+	}
+	return s
+}
+
+// truncate keeps the first n entries and their columns. The dropped
+// entries' paths are on the free list, so their headers are left as they
+// are.
 func (c *Cache) truncate(n int) {
-	clear(c.entries[n:])
 	c.entries = c.entries[:n]
 	c.keys = c.keys[:n]
 }

@@ -217,11 +217,17 @@ func (p *cachePair) clear() {
 	p.want.Clear()
 }
 
-// check compares every observable of the two caches at now: the routes in
+// check compares every observable of the two caches at now: the length
+// before anything expires (so an operation that expired entries the
+// reference kept, or kept ones it expired, is caught), the routes in
 // order, Find and HasRouteTo for every probe destination, the statistics
-// and the callback logs. It also checks the key column against the paths.
+// and the callback logs. It also checks the key column against the paths
+// and that the entry numbers ascend.
 func (p *cachePair) check(now sim.Time) {
 	p.t.Helper()
+	if got, want := p.got.Len(), len(p.want.entries); got != want {
+		p.t.Fatalf("Len = %d, reference %d", got, want)
+	}
 	if got, want := fmt.Sprint(p.got.Routes(now)), fmt.Sprint(p.want.Routes(now)); got != want {
 		p.t.Fatalf("Routes(%d) = %s, reference %s", now, got, want)
 	}
@@ -231,6 +237,12 @@ func (p *cachePair) check(now sim.Time) {
 	for i, e := range p.got.entries {
 		if p.got.keys[i] != hopKey(e.path) {
 			p.t.Fatalf("keys[%d] = %#x, want hopKey(%v) = %#x", i, p.got.keys[i], e.path, hopKey(e.path))
+		}
+		// Numbers ascend modulo 2^32: counted back from nextSeq, each
+		// entry is nearer than the one before it, and none is at 0.
+		back := p.got.nextSeq - e.seq
+		if back == 0 || (i > 0 && back >= p.got.nextSeq-p.got.entries[i-1].seq) {
+			p.t.Fatalf("entry %d numbered %d (next %d): numbers do not ascend", i, e.seq, p.got.nextSeq)
 		}
 	}
 	for dst := phy.NodeID(0); dst <= p.maxID; dst++ {

@@ -1,6 +1,7 @@
 package dsr
 
 import (
+	"math"
 	"testing"
 
 	"rcast/internal/phy"
@@ -210,5 +211,85 @@ func TestCacheHitMissStats(t *testing.T) {
 	_, _, hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestCacheHintIsOnlyAHint points the hint slot of [0 1 2] at its
+// covering entry [0 1 2 3], then makes that hint stale in each way it can
+// go stale, and requires Add to fall back to the scan and accept the
+// probe, in lockstep with the reference cache.
+func TestCacheHintIsOnlyAHint(t *testing.T) {
+	// collide finds a one-hop path that shares a hint slot with [0 1 2]
+	// but is not covered by [0 1 2 3].
+	collide := func() []phy.NodeID {
+		want := hintSlot(path(0, 1, 2))
+		for n := 4; ; n++ {
+			if p := path(0, n); hintSlot(p) == want {
+				return p
+			}
+		}
+	}
+	tests := []struct {
+		name     string
+		capacity int
+		lifetime sim.Time
+		probe    []phy.NodeID // nil: [0 1 2] itself
+		perturb  func(p *cachePair) sim.Time
+	}{
+		{name: "covering entry evicted", capacity: 2, perturb: func(p *cachePair) sim.Time {
+			p.add(0, path(0, 4))
+			p.add(0, path(0, 5))
+			return 0
+		}},
+		{name: "covering entry expired", lifetime: 10 * sim.Second, perturb: func(*cachePair) sim.Time {
+			return 11 * sim.Second
+		}},
+		{name: "covering entry cut short", perturb: func(p *cachePair) sim.Time {
+			p.removeLink(2, 1)
+			return 0
+		}},
+		{name: "cache cleared", perturb: func(p *cachePair) sim.Time {
+			p.clear()
+			return 0
+		}},
+		{name: "slot shared by another path", probe: collide(), perturb: func(*cachePair) sim.Time {
+			return 0
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			p := newCachePair(t, 0, tt.capacity, tt.lifetime, 9)
+			p.add(0, path(0, 1, 2, 3))
+			p.add(0, path(0, 1, 2))
+			cover := p.got.entries[0].seq
+			probe := tt.probe
+			if probe == nil {
+				probe = path(0, 1, 2)
+			}
+			now := tt.perturb(p)
+			if got := p.got.hints[hintSlot(probe)]; got != cover {
+				t.Fatalf("hint for %v = %d, want the stale %d", probe, got, cover)
+			}
+			if !p.got.Add(now, probe) || !p.want.Add(now, probe) {
+				t.Fatalf("Add(%v) rejected behind a stale hint", probe)
+			}
+			p.check(now)
+		})
+	}
+}
+
+// TestCacheNumbersWrap runs the cache in lockstep with the reference while
+// its entry numbers wrap past 2^32, through evictions, a link removal and
+// hint hits on both sides of the wrap.
+func TestCacheNumbersWrap(t *testing.T) {
+	p := newCachePair(t, 0, 4, 0, 9)
+	p.got.nextSeq = math.MaxUint32 - 2
+	for i := 0; i < 12; i++ {
+		p.add(0, path(0, 1+i%6, 7))
+		p.add(0, path(0, 1+i%6))
+		if i == 5 {
+			p.removeLink(3, 7)
+		}
+		p.check(0)
 	}
 }

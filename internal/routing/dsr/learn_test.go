@@ -33,6 +33,22 @@ func fullCache(capacity int) (*Cache, [][]phy.NodeID) {
 	return c, routes
 }
 
+// churnCache returns a full cache of capacity 64 with insert and evict
+// callbacks installed, as every Router has, and 128 distinct three-hop
+// routes none of which covers another, all offered once. Cycling through
+// the routes, each Add accepts the route and evicts the oldest.
+func churnCache() (*Cache, [][]phy.NodeID) {
+	c := NewCache(0, 64, 0)
+	c.SetInsertCallback(func([]phy.NodeID) {})
+	c.SetEvictCallback(func([]phy.NodeID) {})
+	routes := make([][]phy.NodeID, 128)
+	for i := range routes {
+		routes[i] = path(0, 1+i/10, 50+i%10, 99)
+		c.Add(0, routes[i])
+	}
+	return c, routes
+}
+
 // learningRouter returns a router for node 9 that has already learned both
 // directions of the route 0-1-2-3-4 overheard from node 2.
 func learningRouter() (*Router, []phy.NodeID) {
@@ -51,6 +67,23 @@ func TestLearnAllocFree(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("rejecting a cached prefix: %v allocs/op, want 0", got)
+	}
+
+	// One op is 1,000 insertions, so an allocation made only every few
+	// dozen of them (a column regrowing, say) still counts.
+	c, routes = churnCache()
+	_, before, _, _ := c.Stats()
+	if got := testing.AllocsPerRun(10, func() {
+		for i := range 1000 {
+			if !c.Add(0, routes[i%len(routes)]) {
+				t.Fatal("evicted route rejected")
+			}
+		}
+	}); got != 0 {
+		t.Errorf("accepting 1000 routes into a full cache: %v allocs, want 0", got)
+	}
+	if _, evictions, _, _ := c.Stats(); evictions-before != 11*1000 {
+		t.Fatalf("%d evictions, want one per accepted route", evictions-before)
 	}
 
 	r, route := learningRouter()
@@ -75,6 +108,18 @@ func BenchmarkCacheAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := routes[i%len(routes)]
 		c.Add(0, p[:len(p)-1])
+	}
+}
+
+// BenchmarkCacheInsertEvict offers a full 64-route cache, with callbacks
+// installed, a route it no longer holds, so every call accepts it and
+// evicts the oldest: the insert-heavy half of the paper cell's calls.
+func BenchmarkCacheInsertEvict(b *testing.B) {
+	c, routes := churnCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(0, routes[i%len(routes)])
 	}
 }
 

@@ -31,9 +31,11 @@ type Hooks struct {
 	// the re-routed copy (Salvaged already incremented, Route the new path).
 	DataSalvaged func(p *DataPacket)
 	// CacheInserted fires for every accepted route-cache insertion.
-	CacheInserted func(path []phy.NodeID)
 	// CacheEvicted fires for every capacity eviction from the route cache.
-	CacheEvicted func(path []phy.NodeID)
+	// Both borrow the cache's storage: the path is valid only during the
+	// call (Cache.SetInsertCallback).
+	CacheInserted func(path []phy.NodeID)
+	CacheEvicted  func(path []phy.NodeID)
 	// RREPReceived / DataActivity drive ODPM active-mode timers.
 	RREPReceived func()
 	DataActivity func()
