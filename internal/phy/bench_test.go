@@ -1,58 +1,62 @@
-package phy
+package phy_test
 
 import (
 	"testing"
 
 	"rcast/internal/geom"
 	"rcast/internal/mobility"
+	"rcast/internal/phy"
+	"rcast/internal/propagation"
 	"rcast/internal/sim"
 )
 
 type sink struct{ n int }
 
-func (s *sink) OnFrame(Frame) { s.n++ }
+func (s *sink) OnFrame(phy.Frame) { s.n++ }
 
 // benchCell builds a single-cell topology: n static radios within mutual
 // range, so every transmission fans out to n-1 receivers through one
 // batched event. The motion bound is declared, as the simulator does.
-func benchCell(n int) (*sim.Scheduler, *Channel, []*Radio) {
+func benchCell(n int) (*sim.Scheduler, *phy.Channel, []*phy.Radio) {
 	sched := sim.NewScheduler()
-	ch := NewChannel(sched, 250)
+	ch := phy.NewChannel(sched, 250)
 	ch.SetMotionBound(0)
-	radios := make([]*Radio, n)
+	radios := make([]*phy.Radio, n)
 	for i := 0; i < n; i++ {
-		radios[i] = ch.AddRadio(NodeID(i), mobility.Static{P: geom.Point{X: float64(i)}})
+		radios[i] = ch.AddRadio(phy.NodeID(i), mobility.Static{P: geom.Point{X: float64(i)}})
 		radios[i].SetReceiver(&sink{})
 	}
 	return sched, ch, radios
 }
 
 // fieldCase is one variant of the 100-node paper field: static, moving by
-// random waypoint at up to 20 m/s with no pause, or in the paper's regime —
+// random waypoint at up to 20 m/s with no pause, in the paper's regime —
 // paused for the first 600 s, then moving — with the queries straddling
-// the pause end.
+// the pause end, or moving with no pause under 4 dB log-normal shadowing.
 type fieldCase struct {
-	name   string
-	mobile bool
-	pause  sim.Time
+	name    string
+	mobile  bool
+	pause   sim.Time
+	sigmaDB float64 // > 0: shadowing at this sigma instead of the disk
 }
 
 var fieldCases = []fieldCase{
-	{"static", false, 0},
-	{"mobile", true, 0},
-	{"paper", true, 600 * sim.Second},
+	{"static", false, 0, 0},
+	{"mobile", true, 0, 0},
+	{"paper", true, 600 * sim.Second, 0},
+	{"shadowing", true, 0, 4},
 }
 
 // benchField builds the paper's topology for tc: 100 radios placed at
 // random on a 1500×300 m field with a 250 m range, under the motion bound
 // the simulator would declare for it.
-func benchField(tc fieldCase) (*sim.Scheduler, *Channel, []*Radio) {
+func benchField(tc fieldCase) (*sim.Scheduler, *phy.Channel, []*phy.Radio) {
 	const n, maxSpeed = 100, 20.0
 	sched := sim.NewScheduler()
-	ch := NewChannel(sched, 250)
+	ch := phy.NewChannel(sched, 250)
 	field := geom.Rect{W: 1500, H: 300}
 	rng := sim.Stream(1, "bench-field")
-	radios := make([]*Radio, n)
+	radios := make([]*phy.Radio, n)
 	for i := range radios {
 		start := field.RandomPoint(rng)
 		var mob mobility.Model = mobility.Static{P: start}
@@ -65,13 +69,16 @@ func benchField(tc fieldCase) (*sim.Scheduler, *Channel, []*Radio) {
 				Start:    start,
 			}, sim.Stream(int64(i), "bench-field"))
 		}
-		radios[i] = ch.AddRadio(NodeID(i), mob)
+		radios[i] = ch.AddRadio(phy.NodeID(i), mob)
 		radios[i].SetReceiver(&sink{})
 	}
 	if tc.mobile {
 		ch.SetMotionBound(maxSpeed)
 	} else {
 		ch.SetMotionBound(0)
+	}
+	if tc.sigmaDB > 0 {
+		ch.SetPropagation(propagation.NewShadowing(250, tc.sigmaDB, sim.DeriveSeed(1, "prop")))
 	}
 	return sched, ch, radios
 }
@@ -88,7 +95,7 @@ func (tc fieldCase) firstQuery(ops int, step sim.Time) sim.Time {
 // the batch and delivery pools warm. Expected steady-state allocations: 0.
 func BenchmarkTransmitBatchedDelivery(b *testing.B) {
 	sched, ch, radios := benchCell(16)
-	f := Frame{From: 0, To: Broadcast, Bytes: 512}
+	f := phy.Frame{From: 0, To: phy.Broadcast, Bytes: 512}
 	// Warm the pools and the reach lists.
 	ch.Transmit(radios[0], f, 2)
 	sched.Run()
@@ -106,7 +113,7 @@ func BenchmarkTransmitBatchedDelivery(b *testing.B) {
 // scheduler drained outside the timed region periodically).
 func BenchmarkTransmitFrameAlloc(b *testing.B) {
 	sched, ch, radios := benchCell(16)
-	f := Frame{From: 0, To: Broadcast, Bytes: 64}
+	f := phy.Frame{From: 0, To: phy.Broadcast, Bytes: 64}
 	ch.Transmit(radios[0], f, 2)
 	sched.Run()
 	b.ReportAllocs()
@@ -118,15 +125,16 @@ func BenchmarkTransmitFrameAlloc(b *testing.B) {
 }
 
 // BenchmarkTransmitField measures a full broadcast delivery cycle on the
-// 100-node paper field, static, mobile and in the paper's regime. Each
+// 100-node paper field, static, mobile, in the paper's regime and under
+// shadowing. Each
 // frame ends before the next starts, so the moving cases query a new
 // instant every time and pay their share of list rebuilds.
 func BenchmarkTransmitField(b *testing.B) {
 	for _, tc := range fieldCases {
 		b.Run(tc.name, func(b *testing.B) {
 			sched, ch, radios := benchField(tc)
-			f := Frame{From: 0, To: Broadcast, Bytes: 512}
-			sched.RunUntil(tc.firstQuery(b.N, Airtime(f.Bytes, 2)))
+			f := phy.Frame{From: 0, To: phy.Broadcast, Bytes: 512}
+			sched.RunUntil(tc.firstQuery(b.N, phy.Airtime(f.Bytes, 2)))
 			ch.Transmit(radios[0], f, 2)
 			sched.Run()
 			b.ReportAllocs()
@@ -147,7 +155,7 @@ func BenchmarkVisitNeighbors(b *testing.B) {
 	b.Run("cell", func(b *testing.B) {
 		_, ch, radios := benchCell(64)
 		count := 0
-		visit := func(NodeID) { count++ }
+		visit := func(phy.NodeID) { count++ }
 		ch.VisitNeighbors(radios[0], 0, visit)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -159,7 +167,7 @@ func BenchmarkVisitNeighbors(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			_, ch, radios := benchField(tc)
 			count := 0
-			visit := func(NodeID) { count++ }
+			visit := func(phy.NodeID) { count++ }
 			t0 := tc.firstQuery(b.N, sim.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -150,7 +150,9 @@ type LossModel interface {
 // identical regardless of query order or repetition, and must be
 // symmetric in (a, b). Decodable must return false whenever dist exceeds
 // MaxRange: the reach lists prune candidates at that bound, so a verdict
-// beyond it would never be asked for.
+// beyond it would never be asked for. A model whose verdict is a fixed
+// radius per link declares it through LinkRanger, and the channel then
+// settles its verdicts without calling Decodable at all.
 //
 // Per-transmitter power control composes on top of this contract without
 // breaking purity or symmetry: a transmitter whose range is scaled by s
@@ -163,6 +165,19 @@ type Propagation interface {
 	Decodable(now sim.Time, a, b NodeID, dist float64) bool
 	// MaxRange bounds the distance at which Decodable can return true.
 	MaxRange() float64
+}
+
+// LinkRanger is implemented by propagation models whose verdict for a
+// link is a radius fixed for the whole run:
+//
+//	Decodable(now, a, b, d) == (d <= LinkRange(a, b))
+//
+// at every instant and distance. LinkRange must be pure and symmetric in
+// (a, b), like Decodable. The channel asks it once per unordered link and
+// run and settles that link's verdicts against the radius in its reach
+// lists, as it settles the disk's (DESIGN.md §20).
+type LinkRanger interface {
+	LinkRange(a, b NodeID) float64
 }
 
 // Channel is the shared medium connecting all radios in a scenario.
@@ -181,6 +196,7 @@ type Channel struct {
 	lists       reachLists
 	hits        []int32
 	hitDist     []float64
+	hitOK       []bool
 
 	// Freelists for the per-transmission batch machinery (see Transmit):
 	// recycling batches and deliveries keeps the reception hot path
@@ -196,12 +212,19 @@ type Channel struct {
 	// Propagation model state. prop == nil is the disk fast path:
 	// decodability is dist <= rangeM, which the reach lists settle for
 	// most candidates without computing dist at all. With a model
-	// installed, maxRange caches prop.MaxRange() as the lists' reach and
-	// every candidate within it gets its exact distance for Decodable —
-	// from d0 when neither radio has moved since the lists were built;
-	// chanReplay, when set, substitutes the recorded channel-loss stream
-	// for the model's transmit-time verdicts (internal/replay).
+	// installed, maxRange caches prop.MaxRange() as the lists' reach.
+	// When the model is a LinkRanger, links holds each pair's radius,
+	// links[i*n+j] for radios i and j of n, asked once at the first build
+	// after the radio set or the model changed, and the lists settle each
+	// verdict against it as they settle the disk's. Any other model gets
+	// every candidate within the reach at its exact distance for
+	// Decodable — from d0 when neither radio has moved since the lists
+	// were built. chanReplay, when set, substitutes the recorded
+	// channel-loss stream for the model's transmit-time verdicts
+	// (internal/replay).
 	prop       Propagation
+	ranger     LinkRanger
+	links      []float64
 	maxRange   float64
 	chanReplay LossModel
 }
@@ -235,6 +258,8 @@ func (c *Channel) SetLossModel(m LossModel) { c.loss = m }
 // change verdicts already relied on.
 func (c *Channel) SetPropagation(p Propagation) {
 	c.prop = p
+	c.ranger, _ = p.(LinkRanger)
+	c.links = c.links[:0]
 	c.maxRange = 0
 	if p != nil {
 		c.maxRange = p.MaxRange()
@@ -290,6 +315,7 @@ func (c *Channel) AddRadio(id NodeID, mob mobility.Model) *Radio {
 	r := &Radio{id: id, idx: int32(len(c.radios)), ch: c, mob: mob, awake: true, txScale: 1}
 	c.radios = append(c.radios, r)
 	c.byID[id] = r
+	c.links = c.links[:0]
 	c.lists.valid = false
 	return r
 }
@@ -370,15 +396,27 @@ func (c *Channel) Transmit(tx *Radio, f Frame, rateMbps float64) {
 	b := c.allocBatch()
 	b.frame = f
 	b.end = end
-	hits, dist := c.reached(tx, now)
+	var hits []int32
+	var dist []float64
+	var ok []bool
+	if c.ranger != nil {
+		hits, ok = c.linked(tx, now, true)
+	} else {
+		hits, dist = c.reached(tx, now)
+	}
 	for k, j := range hits {
 		rx := c.radios[j]
-		if c.prop != nil {
-			c.admitReception(b, tx, rx, now, end, dist[k]/tx.txScale)
-			continue
+		switch {
+		case c.prop == nil:
+			rx.extendCarrier(end)
+			c.beginReception(b, rx, now, end)
+		case c.chanReplay != nil:
+			c.admitReception(b, rx, now, end, c.chanReplay.Lose(now, tx.id, rx.id))
+		case c.ranger != nil:
+			c.admitReception(b, rx, now, end, !ok[k])
+		default:
+			c.admitReception(b, rx, now, end, !c.prop.Decodable(now, tx.id, rx.id, dist[k]/tx.txScale))
 		}
-		rx.extendCarrier(end)
-		c.beginReception(b, rx, now, end)
 	}
 	if b.head == nil {
 		// No receiver entered the reception state (all asleep or
@@ -390,22 +428,16 @@ func (c *Channel) Transmit(tx *Radio, f Frame, rateMbps float64) {
 }
 
 // admitReception is the per-candidate transmit step under a propagation
-// model: rx is within the transmitter's reach, and the model's (or,
-// during replay, the recorded stream's) verdict decides whether the link
-// exists for this frame. dist is the power-normalized distance (geometric
-// distance over the transmitter's range scale), so the model sees the
-// link as if transmitted at nominal power. A declined link is counted and traced as chan-lost — the
-// frame never reaches the receiver, so it neither extends carrier sense
-// nor enters the reception state. Candidates are consulted in registration
-// order, so the chan-lost decision sequence is deterministic and
-// replayable head-to-tail.
-func (c *Channel) admitReception(b *txBatch, tx, rx *Radio, now, end sim.Time, dist float64) {
-	var lost bool
-	if c.chanReplay != nil {
-		lost = c.chanReplay.Lose(now, tx.id, rx.id)
-	} else {
-		lost = !c.prop.Decodable(now, tx.id, rx.id, dist)
-	}
+// model: rx is within the transmitter's reach, and lost is the model's
+// (or, during replay, the recorded stream's) verdict on the link for this
+// frame. The model judges the power-normalized distance (geometric
+// distance over the transmitter's range scale), so it sees the link as if
+// transmitted at nominal power. A declined link is counted and traced as
+// chan-lost — the frame never reaches the receiver, so it neither extends
+// carrier sense nor enters the reception state. Candidates are consulted
+// in registration order, so the chan-lost decision sequence is
+// deterministic and replayable head-to-tail.
+func (c *Channel) admitReception(b *txBatch, rx *Radio, now, end sim.Time, lost bool) {
 	if lost {
 		c.stats.ChannelLost++
 		c.frameLost(rx, b.frame, now, LossChannel)

@@ -28,6 +28,9 @@ import (
 //   - and exact-checked in the band between, with the same distance
 //     expression the exhaustive scan used.
 //
+// Under a model with fixed link radii (LinkRanger) each entry is settled
+// the same way against its own decode threshold too (see linked).
+//
 // The lists are rebuilt, only at a query, once the two largest drifts
 // plus reachEps could exceed the skin: until then no radio outside a list
 // can have come within reach. A rebuild keeps every pair of radios that
@@ -206,6 +209,9 @@ func (c *Channel) buildLists(now sim.Time, full bool) {
 		for i, r := range c.radios {
 			l.limit[i] = c.reach(r) + l.skin
 			l.maxLimit = max(l.maxLimit, l.limit[i])
+		}
+		if c.ranger != nil && len(c.links) == 0 {
+			c.fillLinks()
 		}
 	} else {
 		l.stats.Rebuilds++
@@ -392,10 +398,123 @@ func (c *Channel) reached(tx *Radio, now sim.Time) (idx []int32, dist []float64)
 	return hits, dist
 }
 
+// fillLinks asks the model for every pair's radius, once per unordered
+// pair, and stores it in both directions.
+func (c *Channel) fillLinks() {
+	n := len(c.radios)
+	c.links = resize(c.links, n*n)
+	for i, a := range c.radios {
+		for j := i + 1; j < n; j++ {
+			r := c.ranger.LinkRange(a.id, c.radios[j].id)
+			c.links[i*n+j], c.links[j*n+i] = r, r
+		}
+	}
+}
+
+// linked is reached for a model with fixed link radii: the radios within
+// tx's reach at now, in registration order, each with whether it decodes
+// — or, unless lossy, only the radios that decode. An entry has two
+// thresholds, the reach and its link radius L·s, and each is settled by
+// reached's rules: d0 decides when both radios hold their anchors, a
+// margin of their drifts plus reachEps decides certain verdicts, and
+// only an entry in the band of a threshold its answer needs gets its
+// exact distance. The decode verdict is then d/s <= L, the comparison
+// Decodable makes. Same scratch contract as reached.
+func (c *Channel) linked(tx *Radio, now sim.Time, lossy bool) (idx []int32, ok []bool) {
+	c.refreshLists(now)
+	l := &c.lists
+	i := int(tx.idx)
+	n := len(c.radios)
+	radii := c.links[i*n : i*n+n]
+	s := tx.txScale
+	hits, oks := c.hits[:0], c.hitOK[:0]
+	if l.settled[i].holds(now) {
+		// Every entry holds its anchor: d0 is its exact distance.
+		l.stats.Settled++
+		in, d0s := l.in.row(i)
+		for k, j := range in {
+			if dec := d0s[k]/s <= radii[j]; lossy {
+				oks = append(oks, dec)
+			} else if dec {
+				hits = append(hits, j)
+			}
+		}
+		if lossy {
+			c.hitOK = oks
+			return in, oks
+		}
+		c.hits = hits
+		return hits, nil
+	}
+	vnow := c.motionBound * now.Seconds()
+	reach := c.reach(tx)
+	dtx := l.still[i].drift(now, vnow)
+	rowM := dtx + l.settled[i].drift(now, vnow) + reachEps
+	list, d0s := l.list.row(i)
+	l.stats.Walked += uint64(len(list))
+	var p geom.Point
+	posOK := false
+	for k, j := range list {
+		d := d0s[k]
+		if d > reach+rowM {
+			continue
+		}
+		t := radii[j] * s
+		in, dec, sure := classify(d, reach, t, rowM, lossy)
+		if !sure {
+			// d0 is exact when both radios hold their anchors; otherwise
+			// the entry's own margin may settle it, or its distance must.
+			if m := dtx + l.still[j].drift(now, vnow); m != 0 {
+				if in, dec, sure = classify(d, reach, t, m+reachEps, lossy); !sure {
+					if !posOK {
+						p, posOK = tx.Position(now), true
+					}
+					l.stats.Exact++
+					d = p.DistanceTo(c.radios[j].Position(now))
+				}
+			}
+			if !sure {
+				in = d <= reach
+				dec = in && d/s <= radii[j]
+			}
+		}
+		if !lossy {
+			if dec {
+				hits = append(hits, j)
+			}
+		} else if in {
+			hits = append(hits, j)
+			oks = append(oks, dec)
+		}
+	}
+	c.hits, c.hitOK = hits, oks
+	return hits, oks
+}
+
+// classify settles an entry at listed distance d, at most m from its
+// exact distance, against the reach and its link threshold t = L·s: sure
+// reports whether the margin decides every verdict the query needs —
+// whether it decodes, and when lossy whether it is within the reach.
+func classify(d, reach, t, m float64, lossy bool) (in, dec, sure bool) {
+	switch {
+	case d > reach+m:
+		return false, false, true
+	case d > t+m:
+		return d <= reach-m, false, !lossy || d <= reach-m
+	case d <= t-m && d <= reach-m:
+		return true, true, true
+	}
+	return false, false, false
+}
+
 // neighbors returns the radios that decode r's transmissions at now: the
 // reached radios, less those the propagation model declines. Same scratch
 // contract as reached.
 func (c *Channel) neighbors(r *Radio, now sim.Time) []int32 {
+	if c.ranger != nil {
+		hits, _ := c.linked(r, now, false)
+		return hits
+	}
 	hits, dist := c.reached(r, now)
 	if c.prop == nil {
 		return hits

@@ -236,13 +236,7 @@ func FuzzReachLists(f *testing.F) {
 		for _, tq := range probes[2:] {
 			sq := tq.Seconds()
 			for k := -3; k <= 3; k++ {
-				gap := reach - 2*v*sq
-				for i := 0; i < k; i++ {
-					gap = math.Nextafter(gap, math.Inf(1))
-				}
-				for i := 0; i > k; i-- {
-					gap = math.Nextafter(gap, math.Inf(-1))
-				}
+				gap := nudge(reach-2*v*sq, k)
 				x := 1000 * rng.Float64()
 				add(linear{p0: geom.Point{X: x, Y: y}, vel: geom.Point{X: -v}})
 				add(linear{p0: geom.Point{X: x + gap, Y: y}, vel: geom.Point{X: v}})
@@ -275,6 +269,31 @@ func FuzzReachLists(f *testing.F) {
 				add(script(geom.Point{Y: y}, geom.Point{X: sv}, tq+k, tq+k+sim.Millisecond))
 				add(mobility.Static{P: geom.Point{X: math.Nextafter(reach, math.Inf(1)), Y: y}})
 				y += 1.5 * reach
+			}
+		}
+		// Under a model with fixed link radii, pairs at their own link's
+		// threshold L·s, or within three ulps of it, with the transmitter
+		// at a random power: held still, where d0 decides, and moving
+		// apart at 2v to be there at a probe, where the margins must not.
+		var linkTx []*phy.Radio
+		if lr, ok := m.(phy.LinkRanger); ok {
+			pair := func(at sim.Time, k int, vel float64) {
+				a := phy.NodeID(len(ch.Radios()))
+				sc := 0.5 + 2*rng.Float64()
+				gap := nudge(lr.LinkRange(a, a+1)*sc-2*vel*at.Seconds(), k)
+				tx := add(linear{p0: geom.Point{Y: y}, vel: geom.Point{X: -vel}})
+				add(linear{p0: geom.Point{X: gap, Y: y}, vel: geom.Point{X: vel}})
+				tx.SetTxRangeScale(sc)
+				linkTx = append(linkTx, tx)
+				y += 1.5 * reach * max(sc, 1)
+			}
+			for k := -3; k <= 3; k++ {
+				pair(0, k, 0)
+				for _, tq := range probes[2:] {
+					if v > 0 {
+						pair(tq, k, v)
+					}
+				}
 			}
 		}
 		// A random crowd around the pairs, some pausing and moving in
@@ -330,7 +349,21 @@ func FuzzReachLists(f *testing.F) {
 				checkTransmit(t, ch, sched, m, log, radios[rng.Intn(len(radios))])
 			}
 		}
+		for _, r := range linkTx {
+			checkTransmit(t, ch, sched, m, log, r)
+		}
 	})
+}
+
+// nudge moves x by k ulps: up when k > 0, down when k < 0.
+func nudge(x float64, k int) float64 {
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
 }
 
 // TestRebuildsFollowTheMovers pins what a rebuild costs when few radios
@@ -360,5 +393,78 @@ func TestRebuildsFollowTheMovers(t *testing.T) {
 	}
 	if st.Settled == built.Settled {
 		t.Fatal("no query was answered by an in-reach run after the rebuild")
+	}
+}
+
+// countingShadowing counts the channel's calls into a shadowing model.
+type countingShadowing struct {
+	*propagation.Shadowing
+	links, verdicts int
+}
+
+func (m *countingShadowing) LinkRange(a, b phy.NodeID) float64 {
+	m.links++
+	return m.Shadowing.LinkRange(a, b)
+}
+
+func (m *countingShadowing) Decodable(now sim.Time, a, b phy.NodeID, dist float64) bool {
+	m.verdicts++
+	return m.Shadowing.Decodable(now, a, b, dist)
+}
+
+// TestLinkRadiiAskedOncePerRun pins what the link-radius table costs the
+// model: over a mobile run's queries and transmissions, through list
+// rebuilds and a power change that forces a full build, the channel asks
+// for each unordered link's radius at most once and never asks for a
+// verdict, while every answer matches the exhaustive scan. A new radio
+// resets the table, and the next run asks again.
+func TestLinkRadiiAskedOncePerRun(t *testing.T) {
+	const n = 40
+	sched := sim.NewScheduler()
+	ch := phy.NewChannel(sched, 250)
+	ch.SetMotionBound(20)
+	shadow := propagation.NewShadowing(250, 6, 3)
+	m := &countingShadowing{Shadowing: shadow}
+	ch.SetPropagation(m)
+	field := geom.Rect{W: 1500, H: 300}
+	for i := 0; i < n; i++ {
+		ch.AddRadio(phy.NodeID(i), mobility.NewWaypoint(mobility.WaypointConfig{
+			Field: field, MinSpeed: 1, MaxSpeed: 20, Pause: sim.Second, Start: field.RandomPoint(sim.Stream(int64(i), "count")),
+		}, sim.Stream(int64(i), "count-way")))
+	}
+	log := &rxLog{}
+	ch.SetDeliveryObserver(log)
+	ch.SetDropObserver(log)
+	check := func(now sim.Time) {
+		t.Helper()
+		sched.RunUntil(now)
+		for _, r := range ch.Radios() {
+			_, want := bruteReach(ch, shadow, r, now)
+			if got := ch.Neighbors(r, now); !slices.Equal(got, want) {
+				t.Fatalf("Neighbors(%v) @%v = %v, want %v", r.ID(), now, got, want)
+			}
+			if got := ch.CountNeighbors(r, now); got != len(want) {
+				t.Fatalf("CountNeighbors(%v) @%v = %d, want %d", r.ID(), now, got, len(want))
+			}
+		}
+		checkTransmit(t, ch, sched, shadow, log, ch.Radios()[int(now/sim.Second)%n])
+	}
+	for s := 0; s < 30; s++ {
+		check(sim.Time(s) * sim.Second)
+		if s == 15 {
+			ch.Radios()[7].SetTxRangeScale(1.5)
+		}
+	}
+	if st := ch.ReachStats(); st.Builds < 2 || st.Rebuilds == 0 {
+		t.Fatalf("reach work %+v: want a power-change build and drift rebuilds", st)
+	}
+	if m.links > n*(n-1)/2 || m.verdicts != 0 {
+		t.Fatalf("the run asked for %d link radii and %d verdicts; want at most %d and none", m.links, m.verdicts, n*(n-1)/2)
+	}
+	ch.AddRadio(n, mobility.Static{P: geom.Point{X: 750, Y: 150}})
+	m.links = 0
+	check(31 * sim.Second)
+	if m.links == 0 || m.links > (n+1)*n/2 {
+		t.Fatalf("after AddRadio the channel asked for %d link radii; want a fresh table of at most %d", m.links, (n+1)*n/2)
 	}
 }

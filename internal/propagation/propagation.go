@@ -80,7 +80,10 @@ type Disk struct {
 	RangeM float64
 }
 
-var _ Model = Disk{}
+var (
+	_ Model          = Disk{}
+	_ phy.LinkRanger = Disk{}
+)
 
 // Name implements Model.
 func (Disk) Name() string { return "disk" }
@@ -92,6 +95,9 @@ func (d Disk) MaxRange() float64 { return d.RangeM }
 func (d Disk) Decodable(_ sim.Time, _, _ phy.NodeID, dist float64) bool {
 	return dist <= d.RangeM
 }
+
+// LinkRange implements phy.LinkRanger: every link's radius is RangeM.
+func (d Disk) LinkRange(_, _ phy.NodeID) float64 { return d.RangeM }
 
 // Shadowing is log-normal shadowing over the d^-4 path loss: each
 // unordered link gets one Gaussian gain X ~ N(0, σ²) dB, fixed for the
@@ -106,7 +112,10 @@ type Shadowing struct {
 	maxRange float64
 }
 
-var _ Model = (*Shadowing)(nil)
+var (
+	_ Model          = (*Shadowing)(nil)
+	_ phy.LinkRanger = (*Shadowing)(nil)
+)
 
 // NewShadowing creates a shadowing model with std-dev sigmaDB (clamped
 // below at 0) around nominal radius rangeM. The seed must come from a
@@ -130,15 +139,22 @@ func (*Shadowing) Name() string { return "shadowing" }
 // MaxRange implements phy.Propagation.
 func (s *Shadowing) MaxRange() float64 { return s.maxRange }
 
-// Decodable implements phy.Propagation. The per-link gain is re-derived
-// by hashing on every call rather than cached: the hash is a handful of
-// multiplies, and statelessness is what makes verdicts order-independent.
+// Decodable implements phy.Propagation: the link decodes within its
+// radius. The radius is re-derived on every call rather than cached —
+// statelessness is what makes verdicts order-independent — and that costs
+// a Box–Muller draw (a Log, a Sqrt and a Cos) plus a Pow. The channel
+// does not pay it per query: it asks LinkRange once per link and run.
 func (s *Shadowing) Decodable(_ sim.Time, a, b phy.NodeID, dist float64) bool {
+	return dist <= s.LinkRange(a, b)
+}
+
+// LinkRange implements phy.LinkRanger: the link's decode radius,
+// R·10^(X/40) for its clamped gain X, and exactly R at σ = 0.
+func (s *Shadowing) LinkRange(a, b phy.NodeID) float64 {
 	if s.sigmaDB == 0 {
-		return dist <= s.rangeM
+		return s.rangeM
 	}
-	x := s.gainDB(a, b)
-	return dist <= s.rangeM*dbToRangeFactor(x)
+	return s.rangeM * dbToRangeFactor(s.gainDB(a, b))
 }
 
 // GainDB exposes a link's shadowing gain in dB (testing and diagnostics).

@@ -2,6 +2,7 @@ package propagation
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"rcast/internal/phy"
@@ -313,5 +314,46 @@ func TestNegativeSigmaClamped(t *testing.T) {
 	}
 	if !s.Decodable(0, 1, 2, 250) || s.Decodable(0, 1, 2, 250.1) {
 		t.Error("negative sigma did not degenerate to disk")
+	}
+}
+
+// TestLinkRangeMatchesDecodable pins the phy.LinkRanger contract the
+// channel settles shadowing verdicts by: for random links and instants,
+// Decodable at the link's radius and within three ulps either side of it
+// is exactly dist <= LinkRange, the radius is symmetric and within
+// MaxRange, and σ = 0 gives the nominal radius itself.
+func TestLinkRangeMatchesDecodable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sigma := range []float64{0, 4, 8, 12} {
+		s := NewShadowing(250, sigma, rng.Int63())
+		models := []Model{s}
+		if sigma == 0 {
+			models = append(models, Disk{RangeM: 250})
+		}
+		for _, m := range models {
+			lr := m.(phy.LinkRanger)
+			for range 2000 {
+				a, b := phy.NodeID(rng.Intn(500)), phy.NodeID(rng.Intn(500))
+				r := lr.LinkRange(a, b)
+				if r != lr.LinkRange(b, a) || !(r > 0 && r <= m.MaxRange()) {
+					t.Fatalf("%s σ=%v: LinkRange(%d, %d) = %v, reverse %v, MaxRange %v",
+						m.Name(), sigma, a, b, r, lr.LinkRange(b, a), m.MaxRange())
+				}
+				if sigma == 0 && r != 250 {
+					t.Fatalf("%s σ=0: LinkRange(%d, %d) = %v, want 250", m.Name(), a, b, r)
+				}
+				now := sim.Time(rng.Int63n(int64(3600 * sim.Second)))
+				up, down := r, r
+				for range 4 {
+					for _, dist := range []float64{up, down} {
+						if got := m.Decodable(now, a, b, dist); got != (dist <= r) {
+							t.Fatalf("%s σ=%v: Decodable(%d, %d) at %v = %v, LinkRange %v",
+								m.Name(), sigma, a, b, dist, got, r)
+						}
+					}
+					up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+				}
+			}
+		}
 	}
 }

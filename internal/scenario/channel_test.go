@@ -171,6 +171,7 @@ func TestValidateChannelMobility(t *testing.T) {
 		"unknown channel":  func(c *Config) { c.Channel = "nakagami" },
 		"unknown mobility": func(c *Config) { c.Mobility = "levy-walk" },
 		"negative sigma":   func(c *Config) { c.Channel = "shadowing"; c.ShadowSigmaDB = -1 },
+		"unbounded sigma":  func(c *Config) { c.Channel = "shadowing"; c.ShadowSigmaDB = 1e308 },
 		"negative group":   func(c *Config) { c.Mobility = "group"; c.GroupSize = -2 },
 		"negative radius":  func(c *Config) { c.Mobility = "group"; c.GroupRadiusM = -5 },
 	}

@@ -8,11 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"rcast/internal/core"
 	"rcast/internal/fault"
 	"rcast/internal/mac"
 	"rcast/internal/phy"
+	"rcast/internal/propagation"
 	"rcast/internal/routing/aodv"
 	"rcast/internal/routing/dsr"
 	"rcast/internal/sim"
@@ -383,6 +385,9 @@ func PaperDefaults() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if name := nonFinite(reflect.ValueOf(c)); name != "" {
+		return fmt.Errorf("scenario: %s must be finite", name)
+	}
 	switch {
 	case !c.Scheme.Known():
 		return fmt.Errorf("scenario: invalid scheme %d", int(c.Scheme))
@@ -423,6 +428,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: unknown channel model %q (want one of %v)", c.Channel, ChannelNames())
 	case c.ShadowSigmaDB < 0:
 		return errors.New("scenario: shadowing sigma must be >= 0")
+	case !c.reachFinite():
+		return fmt.Errorf("scenario: channel %q has no finite reach at range %v m and shadowing sigma %v dB",
+			c.channelName(), c.RangeM, c.ShadowSigmaDB)
 	case !nameKnown(c.mobilityName(), MobilityNames()):
 		return fmt.Errorf("scenario: unknown mobility model %q (want one of %v)", c.Mobility, MobilityNames())
 	case c.GroupSize < 0:
@@ -449,6 +457,35 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// reachFinite reports whether the channel model's reach, MaxRange, is
+// finite: a model clamps its draws to keep it so, but a large enough
+// shadowing sigma stretches even the clamp past every float64. The
+// channel name must be known.
+func (c Config) reachFinite() bool {
+	m, err := propagation.Parse(c.channelName(), c.RangeM, c.ShadowSigmaDB, 0)
+	return err == nil && !math.IsInf(m.MaxRange(), 0)
+}
+
+// nonFinite returns the name of the first float64 field of the struct v,
+// or of a struct nested in it, that is NaN or infinite; "" when none is.
+// The range checks in Validate compare with < and <=, which NaN passes.
+func nonFinite(v reflect.Value) string {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+				return v.Type().Field(i).Name
+			}
+		case reflect.Struct:
+			if name := nonFinite(f); name != "" {
+				return v.Type().Field(i).Name + "." + name
+			}
+		}
+	}
+	return ""
 }
 
 // trafficStop resolves the effective CBR stop instant.

@@ -310,11 +310,11 @@ func FuzzDecodeConfig(f *testing.F) {
 }
 
 // TestExtremeKnobsRejectedOrRunnable sets every numeric knob of the
-// nested mac/dsr/aodv objects and the top-level energy and ODPM keys to
-// -1, 0 and the largest integer, one at a time. Each value must either
-// fail validation or run a small world to completion without panicking:
-// job and sweep bodies reach these keys, and a panic there would take
-// down the server.
+// nested mac/dsr/aodv objects, the top-level energy and ODPM keys and the
+// shadowing sigma to -1, 0 and the largest integer, one at a time. Each
+// value must either fail validation or run a small world to completion
+// without panicking: job and sweep bodies reach these keys, and a panic
+// there would take down the server.
 func TestExtremeKnobsRejectedOrRunnable(t *testing.T) {
 	base := Fields{"nodes": 6, "field_w": 400, "field_h": 300, "connections": 2,
 		"packet_rate": 2, "duration_sec": 4, "traffic_start_us": 500_000}
@@ -343,6 +343,7 @@ func TestExtremeKnobsRejectedOrRunnable(t *testing.T) {
 	for _, key := range []string{"odpm_rrep_keepalive_us", "odpm_data_keepalive_us", "awake_watts", "sleep_watts"} {
 		knobs = append(knobs, knob{key: key, variant: Fields{"scheme": "ODPM"}})
 	}
+	knobs = append(knobs, knob{key: "shadow_sigma_db", variant: Fields{"scheme": "Rcast", "channel": "shadowing"}})
 	if len(knobs) < 30 {
 		t.Fatalf("only %d knobs found", len(knobs))
 	}

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rcast/internal/core"
@@ -229,6 +231,41 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatal("Run accepted a broken config")
 			}
 		})
+	}
+}
+
+// TestNonFiniteKnobsRejected sets every float64 field of Config, and of
+// the structs nested in it, to NaN, +Inf and -Inf in turn: Validate must
+// reject each. The fields are found by reflection, so a knob added later
+// is covered without a new case.
+func TestNonFiniteKnobsRejected(t *testing.T) {
+	var paths [][]int
+	var walk func(typ reflect.Type, at []int)
+	walk = func(typ reflect.Type, at []int) {
+		for i := range typ.NumField() {
+			path := append(slices.Clone(at), i)
+			switch typ.Field(i).Type.Kind() {
+			case reflect.Float64:
+				paths = append(paths, path)
+			case reflect.Struct:
+				walk(typ.Field(i).Type, path)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Config](), nil)
+	if len(paths) < 14 {
+		t.Fatalf("found only %d float64 knobs", len(paths))
+	}
+	for _, path := range paths {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := PaperDefaults()
+			cfg.Channel = "shadowing"
+			f := reflect.ValueOf(&cfg).Elem().FieldByIndex(path)
+			f.SetFloat(x)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", reflect.TypeFor[Config]().FieldByIndex(path).Name, x)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 # over the MAC, route-cache, scheduler-wheel, RNG-stream, trace-reader,
 # propagation-grid, reach-list, fading-verdict and config-decoder targets,
 # the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
-# 100-node route-learning cell, the 100-node mobile paper cell and that
-# cell's world set-up), a benchmark smoke run, a tracediff smoke
+# 100-node route-learning cell, the 100-node mobile paper cell, that
+# cell's world set-up and a 40-node shadowing cell), a benchmark smoke run, a tracediff smoke
 # (audit inert / seeds diverge), the golden-trace corpus gate (every
 # committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
@@ -44,10 +44,11 @@ echo "== coverage gate =="
 go run ./tools/covergate
 
 echo "== perf smoke =="
-# Calibrated gate over four cells, each scored on its own: a 3-node cell
+# Calibrated gate over five cells, each scored on its own: a 3-node cell
 # for the event kernel, a 100-node always-on cell for DSR route learning,
-# the paper's mobile 100-node Rcast cell and a batch of zero-length builds
-# of that cell's world, for set-up. Fails on a >30% slowdown of
+# the paper's mobile 100-node Rcast cell, a batch of zero-length builds
+# of that cell's world, for set-up, and ablation A9's 40-node shadowing
+# Gauss–Markov Rcast cell, for per-link radii. Fails on a >30% slowdown of
 # any relative to tools/perfsmoke/baseline.json (see that tool for how the
 # score is normalized across machines).
 go run ./tools/perfsmoke

@@ -14,7 +14,11 @@
 //   - world-setup-100: the same world built and run for 1 ms with traffic
 //     from t=0, for set-up, which is mostly seeding the per-node RNG
 //     streams. One ~2 ms build is too short to time alone, so each run
-//     times a batch of builds.
+//     times a batch of builds;
+//   - shadowing-rcast-40: ablation A9's quick-profile shadowing ×
+//     Gauss–Markov Rcast cell (40 nodes, 900×300 m, 150 s), for the reach
+//     lists' per-link radii under a random channel. One ~45 ms run is
+//     short, so each timing runs a batch of four.
 //
 // Raw wall-clock time is useless as a committed number — CI machines
 // differ by far more than any regression worth catching. Instead the gate
@@ -29,8 +33,9 @@
 // machines while still moving one-for-one with real event-kernel
 // regressions. The route-learning cell is mostly cache scans, so its
 // score wobbles more (0.93–1.46 over nine runs on a 2-vCPU VM), but
-// undoing the route-learning speedup costs it about a third; the paper
-// and set-up cells' baselines are likewise medians of nine -write runs.
+// undoing the route-learning speedup costs it about a third; the paper,
+// set-up and shadowing cells' baselines are likewise medians of nine
+// -write runs.
 // Best-of-3 runs on both sides squeeze out scheduler noise. Every cell
 // shares the one calibration time.
 //
@@ -99,6 +104,16 @@ var cells = []cell{
 		cfg.Duration = rcast.Millisecond
 		return cfg
 	}, 50},
+	{"shadowing-rcast-40", func() rcast.Config {
+		cfg := rcast.PaperDefaults()
+		cfg.Nodes = 40
+		cfg.FieldW, cfg.FieldH = 900, 300
+		cfg.Connections = 8
+		cfg.Duration = rcast.Seconds(150)
+		cfg.Pause = rcast.Seconds(75)
+		cfg.Channel, cfg.Mobility = "shadowing", "gauss-markov"
+		return cfg
+	}, 4},
 }
 
 // calibrate times the fixed reference workload: the heap-oracle scheduler
