@@ -22,7 +22,8 @@ const (
 )
 
 // Manager drives one node's AM/PS switching. It is glued to the routing
-// layer via dsr.Hooks (OnRREP/OnData) and to the MAC via mac.PSM.ExtendAM.
+// layer via routing.Hooks (OnRREP/OnDataActivity) and to the MAC via
+// mac.PSM.ExtendAM.
 type Manager struct {
 	sched *sim.Scheduler
 	psm   *mac.PSM

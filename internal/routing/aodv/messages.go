@@ -14,6 +14,7 @@ package aodv
 import (
 	"rcast/internal/core"
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
 
@@ -27,25 +28,14 @@ const (
 	dataHeader = 8 // flow id + seq framing on top of IP
 )
 
-// Message is any AODV packet.
-type Message interface {
-	Class() core.Class
-	WireBytes() int
-}
-
 // DataPacket is an application payload forwarded hop by hop using the
 // routing tables (AODV carries no source route).
 type DataPacket struct {
-	FlowID uint64
-	Seq    uint64
-
-	Src, Dst     phy.NodeID
-	HopsTaken    int
-	PayloadBytes int
-	OriginatedAt sim.Time
+	routing.Data
+	HopsTaken int
 }
 
-var _ Message = (*DataPacket)(nil)
+var _ routing.Message = (*DataPacket)(nil)
 
 // Class implements Message.
 func (*DataPacket) Class() core.Class { return core.ClassData }
@@ -67,7 +57,7 @@ type RouteRequest struct {
 	HopLimit  int
 }
 
-var _ Message = (*RouteRequest)(nil)
+var _ routing.Message = (*RouteRequest)(nil)
 
 // Class implements Message.
 func (*RouteRequest) Class() core.Class { return core.ClassRREQ }
@@ -85,7 +75,7 @@ type RouteReply struct {
 	Lifetime  sim.Time
 }
 
-var _ Message = (*RouteReply)(nil)
+var _ routing.Message = (*RouteReply)(nil)
 
 // Class implements Message.
 func (*RouteReply) Class() core.Class { return core.ClassRREP }
@@ -100,7 +90,7 @@ type Hello struct {
 	Seq  uint64
 }
 
-var _ Message = (*Hello)(nil)
+var _ routing.Message = (*Hello)(nil)
 
 // Class implements Message. Hellos are link-sensing control traffic; they
 // ride the RREP class as in RFC 3561 (a hello is an unsolicited RREP).
@@ -121,7 +111,7 @@ type Unreachable struct {
 	Seq uint64
 }
 
-var _ Message = (*RouteError)(nil)
+var _ routing.Message = (*RouteError)(nil)
 
 // Class implements Message.
 func (*RouteError) Class() core.Class { return core.ClassRERR }

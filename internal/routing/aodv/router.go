@@ -8,24 +8,9 @@ import (
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
-
-// Transport is the MAC-facing send interface (mirrors dsr.Transport).
-type Transport interface {
-	Send(nh phy.NodeID, msg Message, onResult func(delivered bool))
-}
-
-// Hooks are optional observation points; nil fields are skipped.
-type Hooks struct {
-	DataOriginated func(p *DataPacket)
-	DataDelivered  func(p *DataPacket, from phy.NodeID)
-	DataDropped    func(p *DataPacket, reason string)
-	DataForwarded  func(p *DataPacket)
-	ControlSent    func(c core.Class)
-	RREPReceived   func()
-	DataActivity   func()
-}
 
 // Config parameterizes a Router. Zero fields take RFC-flavoured defaults
 // scaled for the PSM latency regime (a flood advances roughly one hop per
@@ -106,10 +91,10 @@ type Router struct {
 	id    phy.NodeID
 	sched *sim.Scheduler
 	rng   *rand.Rand
-	tr    Transport
+	tr    routing.Transport
 	cfg   Config
 	table *Table
-	hooks Hooks
+	hooks routing.Hooks
 
 	seq        uint64 // own sequence number
 	nextRREQID uint64
@@ -126,6 +111,8 @@ type Router struct {
 	stats Stats
 }
 
+var _ routing.Router = (*Router)(nil)
+
 type rreqKey struct {
 	origin phy.NodeID
 	id     uint64
@@ -137,7 +124,7 @@ type discovery struct {
 }
 
 // New creates an AODV router and starts its hello schedule (if enabled).
-func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr Transport, cfg Config, hooks Hooks) *Router {
+func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr routing.Transport, cfg Config, hooks routing.Hooks) *Router {
 	if cfg.ActiveRouteTimeout <= 0 {
 		cfg.ActiveRouteTimeout = 3 * sim.Second
 	}
@@ -177,15 +164,17 @@ func (r *Router) Table() *Table { return r.table }
 // BufferedData returns the data packets currently parked awaiting route
 // discovery, ordered by destination then insertion. The audit layer
 // enumerates still-buffered traffic with it at teardown.
-func (r *Router) BufferedData() []*DataPacket {
+func (r *Router) BufferedData() []*routing.Data {
 	dsts := make([]phy.NodeID, 0, len(r.buf))
 	for dst := range r.buf {
 		dsts = append(dsts, dst)
 	}
 	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	var out []*DataPacket
+	var out []*routing.Data
 	for _, dst := range dsts {
-		out = append(out, r.buf[dst]...)
+		for _, pkt := range r.buf[dst] {
+			out = append(out, &pkt.Data)
+		}
 	}
 	return out
 }
@@ -206,7 +195,7 @@ func (r *Router) Stop() {
 // hook — the fault layer reconciles them as a terminal class of their own.
 // Stats and sequence counters survive (the latter so recycled packets
 // never reuse a PacketKey).
-func (r *Router) Crash() []*DataPacket {
+func (r *Router) Crash() []*routing.Data {
 	if r.down {
 		return nil
 	}
@@ -248,16 +237,16 @@ func (r *Router) SendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
 	}
 	now := r.sched.Now()
 	r.nextPktSeq++
-	pkt := &DataPacket{
+	pkt := &DataPacket{Data: routing.Data{
 		FlowID:       flowID,
 		Seq:          r.nextPktSeq,
 		Src:          r.id,
 		Dst:          dst,
 		PayloadBytes: payloadBytes,
 		OriginatedAt: now,
-	}
+	}}
 	if r.hooks.DataOriginated != nil {
-		r.hooks.DataOriginated(pkt)
+		r.hooks.DataOriginated(&pkt.Data)
 	}
 	if dst == r.id {
 		r.deliver(pkt, r.id)
@@ -317,14 +306,14 @@ func (r *Router) deliver(pkt *DataPacket, from phy.NodeID) {
 		r.hooks.DataActivity()
 	}
 	if r.hooks.DataDelivered != nil {
-		r.hooks.DataDelivered(pkt, from)
+		r.hooks.DataDelivered(&pkt.Data, from, pkt.HopsTaken+1)
 	}
 }
 
 func (r *Router) drop(pkt *DataPacket, reason string) {
 	r.stats.Dropped++
 	if r.hooks.DataDropped != nil {
-		r.hooks.DataDropped(pkt, reason)
+		r.hooks.DataDropped(&pkt.Data, reason)
 	}
 }
 
@@ -427,7 +416,7 @@ func (r *Router) scheduleHello() {
 // --- receive path ---
 
 // Receive processes a message addressed to this node (or broadcast).
-func (r *Router) Receive(from phy.NodeID, msg Message) {
+func (r *Router) Receive(from phy.NodeID, msg routing.Message) {
 	switch m := msg.(type) {
 	case *DataPacket:
 		r.onData(from, m)
@@ -443,9 +432,8 @@ func (r *Router) Receive(from phy.NodeID, msg Message) {
 }
 
 // Overhear is a no-op: AODV, by design, gathers no route information from
-// packets addressed to other nodes (paper §1 footnote). It exists so AODV
-// satisfies the same routing interface as DSR.
-func (r *Router) Overhear(phy.NodeID, Message) {}
+// packets addressed to other nodes (paper §1 footnote).
+func (r *Router) Overhear(phy.NodeID, routing.Message) {}
 
 func (r *Router) onData(from phy.NodeID, pkt *DataPacket) {
 	now := r.sched.Now()
@@ -462,7 +450,7 @@ func (r *Router) onData(from phy.NodeID, pkt *DataPacket) {
 		return
 	}
 	if r.hooks.DataForwarded != nil {
-		r.hooks.DataForwarded(&fwd)
+		r.hooks.DataForwarded(&fwd.Data)
 	}
 	// Refresh the reverse route towards the source as well (§6.2).
 	r.table.Refresh(now, pkt.Src, r.cfg.ActiveRouteTimeout)

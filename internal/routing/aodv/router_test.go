@@ -5,6 +5,7 @@ import (
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
 
@@ -18,8 +19,14 @@ type fakeNet struct {
 	delay   sim.Time
 
 	controlTx map[core.Class]int
-	delivered []*DataPacket
+	delivered []delivery
 	dropped   []string
+}
+
+// delivery is one DataDelivered call.
+type delivery struct {
+	*routing.Data
+	hops int
 }
 
 func newFakeNet() *fakeNet {
@@ -47,7 +54,7 @@ type port struct {
 	id  phy.NodeID
 }
 
-func (p port) Send(nh phy.NodeID, msg Message, onResult func(bool)) {
+func (p port) Send(nh phy.NodeID, msg routing.Message, onResult func(bool)) {
 	n := p.net
 	src := p.id
 	n.sched.After(n.delay, func() {
@@ -73,9 +80,9 @@ func (p port) Send(nh phy.NodeID, msg Message, onResult func(bool)) {
 }
 
 func (n *fakeNet) addRouter(id phy.NodeID, cfg Config) *Router {
-	hooks := Hooks{
-		DataDelivered: func(p *DataPacket, _ phy.NodeID) { n.delivered = append(n.delivered, p) },
-		DataDropped:   func(_ *DataPacket, reason string) { n.dropped = append(n.dropped, reason) },
+	hooks := routing.Hooks{
+		DataDelivered: func(p *routing.Data, _ phy.NodeID, hops int) { n.delivered = append(n.delivered, delivery{p, hops}) },
+		DataDropped:   func(_ *routing.Data, reason string) { n.dropped = append(n.dropped, reason) },
 		ControlSent:   func(c core.Class) { n.controlTx[c]++ },
 	}
 	r := New(id, n.sched, sim.Stream(int64(id), "aodv"), port{net: n, id: id}, cfg, hooks)
@@ -109,8 +116,8 @@ func TestDiscoveryAndDeliveryOverChain(t *testing.T) {
 		t.Fatalf("delivered %d, want 1 (drops %v)", len(n.delivered), n.dropped)
 	}
 	p := n.delivered[0]
-	if p.Src != 0 || p.Dst != 3 || p.HopsTaken != 2 {
-		t.Fatalf("delivered %+v (HopsTaken counts intermediate hops)", p)
+	if p.Src != 0 || p.Dst != 3 || p.hops != 3 {
+		t.Fatalf("delivered %+v over %d hops, want 3", *p.Data, p.hops)
 	}
 }
 
@@ -237,8 +244,8 @@ func TestLinkFailureEmitsRERRAndReroutes(t *testing.T) {
 	if len(n.delivered) != 2 {
 		t.Fatalf("delivered %d, want 2 after rediscovery (drops %v)", len(n.delivered), n.dropped)
 	}
-	if got := n.delivered[1].HopsTaken; got != 3 {
-		t.Fatalf("rerouted packet took %d intermediate hops, want 3 (via 1-4-5)", got)
+	if got := n.delivered[1].hops; got != 4 {
+		t.Fatalf("rerouted packet took %d hops, want 4 (via 1-4-5)", got)
 	}
 }
 
@@ -310,7 +317,7 @@ func TestSelfAddressedDelivers(t *testing.T) {
 func TestOverhearIsIgnored(t *testing.T) {
 	n := newFakeNet()
 	r := n.addRouter(0, quiet())
-	r.Overhear(5, &DataPacket{Src: 5, Dst: 9, PayloadBytes: 10})
+	r.Overhear(5, &DataPacket{Data: routing.Data{Src: 5, Dst: 9, PayloadBytes: 10}})
 	if r.Table().ActiveRoutes(n.sched.Now()) != 0 {
 		t.Fatal("AODV learned from overhearing; it must not (paper §1)")
 	}
@@ -318,10 +325,10 @@ func TestOverhearIsIgnored(t *testing.T) {
 
 func TestMessageSizes(t *testing.T) {
 	tests := []struct {
-		msg  Message
+		msg  routing.Message
 		want int
 	}{
-		{&DataPacket{PayloadBytes: 512}, 520},
+		{&DataPacket{Data: routing.Data{PayloadBytes: 512}}, 520},
 		{&RouteRequest{}, 24},
 		{&RouteReply{}, 20},
 		{&Hello{}, 20},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
 
@@ -52,7 +53,7 @@ func churnCache() (*Cache, [][]phy.NodeID) {
 // learningRouter returns a router for node 9 that has already learned both
 // directions of the route 0-1-2-3-4 overheard from node 2.
 func learningRouter() (*Router, []phy.NodeID) {
-	r := New(9, sim.NewScheduler(), nil, nil, DefaultConfig(), Hooks{})
+	r := New(9, sim.NewScheduler(), nil, nil, DefaultConfig(), routing.Hooks{})
 	route := path(0, 1, 2, 3, 4)
 	r.learnFromTransmitter(0, 2, route)
 	return r, route

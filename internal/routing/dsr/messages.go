@@ -13,7 +13,7 @@ package dsr
 import (
 	"rcast/internal/core"
 	"rcast/internal/phy"
-	"rcast/internal/sim"
+	"rcast/internal/routing"
 )
 
 // Per-message fixed header sizes in bytes (DSR over IP, RFC 4728 flavour),
@@ -24,22 +24,9 @@ const (
 	rerrExtraBytes   = 8
 )
 
-// Message is any DSR packet.
-type Message interface {
-	// Class returns the routing packet class (drives Rcast levels).
-	Class() core.Class
-	// WireBytes returns the on-air size excluding the MAC header.
-	WireBytes() int
-}
-
 // DataPacket is an application payload carried with a full source route.
 type DataPacket struct {
-	// FlowID identifies the (application) connection; Seq is unique within
-	// the originator.
-	FlowID uint64
-	Seq    uint64
-
-	Src, Dst phy.NodeID
+	routing.Data
 	// Route is the source route currently steering the packet. It always
 	// ends at Dst; after salvaging it may start at the salvaging node
 	// rather than Src.
@@ -47,12 +34,9 @@ type DataPacket struct {
 	// Salvaged counts how many times intermediate nodes re-routed the
 	// packet after a link failure.
 	Salvaged int
-
-	PayloadBytes int
-	OriginatedAt sim.Time
 }
 
-var _ Message = (*DataPacket)(nil)
+var _ routing.Message = (*DataPacket)(nil)
 
 // Class implements Message.
 func (*DataPacket) Class() core.Class { return core.ClassData }
@@ -76,7 +60,7 @@ type RouteRequest struct {
 	HopLimit int
 }
 
-var _ Message = (*RouteRequest)(nil)
+var _ routing.Message = (*RouteRequest)(nil)
 
 // Class implements Message.
 func (*RouteRequest) Class() core.Class { return core.ClassRREQ }
@@ -98,7 +82,7 @@ type RouteReply struct {
 	FromCache bool
 }
 
-var _ Message = (*RouteReply)(nil)
+var _ routing.Message = (*RouteReply)(nil)
 
 // Class implements Message.
 func (*RouteReply) Class() core.Class { return core.ClassRREP }
@@ -120,7 +104,7 @@ type RouteError struct {
 	ReturnPath []phy.NodeID
 }
 
-var _ Message = (*RouteError)(nil)
+var _ routing.Message = (*RouteError)(nil)
 
 // Class implements Message.
 func (*RouteError) Class() core.Class { return core.ClassRERR }

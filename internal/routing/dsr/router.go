@@ -8,38 +8,9 @@ import (
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
-
-// Transport is the MAC-facing interface the router sends through. nh is
-// the link-layer next hop (phy.Broadcast for floods); onResult, when
-// non-nil, receives the link outcome of a unicast (ACKed vs retry-exhausted).
-type Transport interface {
-	Send(nh phy.NodeID, msg Message, onResult func(delivered bool))
-}
-
-// Hooks are optional observation points; nil fields are skipped. They feed
-// the metrics collector and the ODPM power manager.
-type Hooks struct {
-	DataOriginated func(p *DataPacket)
-	DataDelivered  func(p *DataPacket, from phy.NodeID)
-	DataForwarded  func(p *DataPacket)
-	DataDropped    func(p *DataPacket, reason string)
-	// ControlSent fires once per control-packet transmission (every hop).
-	ControlSent func(c core.Class)
-	// DataSalvaged fires when a link failure is repaired from cache: p is
-	// the re-routed copy (Salvaged already incremented, Route the new path).
-	DataSalvaged func(p *DataPacket)
-	// CacheInserted fires for every accepted route-cache insertion.
-	// CacheEvicted fires for every capacity eviction from the route cache.
-	// Both borrow the cache's storage: the path is valid only during the
-	// call (Cache.SetInsertCallback).
-	CacheInserted func(path []phy.NodeID)
-	CacheEvicted  func(path []phy.NodeID)
-	// RREPReceived / DataActivity drive ODPM active-mode timers.
-	RREPReceived func()
-	DataActivity func()
-}
 
 // Config parameterizes a Router. The JSON tags are the "dsr" object of the
 // canonical run-configuration encoding (internal/scenario); the runtime
@@ -138,10 +109,10 @@ type Router struct {
 	id    phy.NodeID
 	sched *sim.Scheduler
 	rng   *rand.Rand
-	tr    Transport
+	tr    routing.Transport
 	cfg   Config
 	cache *Cache
-	hooks Hooks
+	hooks routing.Hooks
 
 	buf         map[phy.NodeID][]bufEntry
 	seenRREQ    map[rreqKey]struct{}
@@ -157,6 +128,8 @@ type Router struct {
 
 	stats Stats
 }
+
+var _ routing.Router = (*Router)(nil)
 
 type bufEntry struct {
 	pkt *DataPacket
@@ -175,7 +148,7 @@ type discovery struct {
 
 // New creates a router. tr must be set before any traffic flows; hooks may
 // be zero.
-func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr Transport, cfg Config, hooks Hooks) *Router {
+func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr routing.Transport, cfg Config, hooks routing.Hooks) *Router {
 	if cfg.DiscoveryTimeout <= 0 {
 		cfg.DiscoveryTimeout = sim.Second
 	}
@@ -228,16 +201,16 @@ func (r *Router) Cache() *Cache { return r.cache }
 // BufferedData returns the data packets currently parked in the send buffer
 // awaiting route discovery, ordered by destination then insertion. The
 // audit layer enumerates still-buffered traffic with it at teardown.
-func (r *Router) BufferedData() []*DataPacket {
+func (r *Router) BufferedData() []*routing.Data {
 	dsts := make([]phy.NodeID, 0, len(r.buf))
 	for dst := range r.buf {
 		dsts = append(dsts, dst)
 	}
 	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	var out []*DataPacket
+	var out []*routing.Data
 	for _, dst := range dsts {
 		for _, e := range r.buf[dst] {
-			out = append(out, e.pkt)
+			out = append(out, &e.pkt.Data)
 		}
 	}
 	return out
@@ -253,7 +226,7 @@ func (r *Router) Stats() Stats { return r.stats }
 // passing through the drop hook — the fault layer reconciles them as a
 // terminal class of their own. Stats survive: they describe what the node
 // did while it was up.
-func (r *Router) Crash() []*DataPacket {
+func (r *Router) Crash() []*routing.Data {
 	if r.down {
 		return nil
 	}
@@ -287,16 +260,16 @@ func (r *Router) SendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
 	}
 	now := r.sched.Now()
 	r.nextSeq++
-	pkt := &DataPacket{
+	pkt := &DataPacket{Data: routing.Data{
 		FlowID:       flowID,
 		Seq:          r.nextSeq,
 		Src:          r.id,
 		Dst:          dst,
 		PayloadBytes: payloadBytes,
 		OriginatedAt: now,
-	}
+	}}
 	if r.hooks.DataOriginated != nil {
-		r.hooks.DataOriginated(pkt)
+		r.hooks.DataOriginated(&pkt.Data)
 	}
 	if dst == r.id {
 		r.deliver(pkt, r.id)
@@ -362,7 +335,7 @@ func (r *Router) handleLinkFailure(pkt *DataPacket, nh phy.NodeID) {
 			sp.Salvaged = pkt.Salvaged + 1
 			r.stats.Salvages++
 			if r.hooks.DataSalvaged != nil {
-				r.hooks.DataSalvaged(&sp)
+				r.hooks.DataSalvaged(&sp.Data, sp.Salvaged, sp.Route)
 			}
 			r.transmitData(&sp)
 			return
@@ -382,14 +355,14 @@ func (r *Router) deliver(pkt *DataPacket, from phy.NodeID) {
 		r.hooks.DataActivity()
 	}
 	if r.hooks.DataDelivered != nil {
-		r.hooks.DataDelivered(pkt, from)
+		r.hooks.DataDelivered(&pkt.Data, from, len(pkt.Route)-1)
 	}
 }
 
 func (r *Router) drop(pkt *DataPacket, reason string) {
 	r.stats.Dropped++
 	if r.hooks.DataDropped != nil {
-		r.hooks.DataDropped(pkt, reason)
+		r.hooks.DataDropped(&pkt.Data, reason)
 	}
 }
 
@@ -509,7 +482,7 @@ func (r *Router) control(c core.Class) {
 
 // Receive processes a message addressed to this node (or broadcast),
 // transmitted by `from`.
-func (r *Router) Receive(from phy.NodeID, msg Message) {
+func (r *Router) Receive(from phy.NodeID, msg routing.Message) {
 	switch m := msg.(type) {
 	case *DataPacket:
 		r.onData(from, m)
@@ -524,7 +497,7 @@ func (r *Router) Receive(from phy.NodeID, msg Message) {
 
 // Overhear processes a message addressed to another node that this node's
 // radio decoded — the mechanism the whole paper is about.
-func (r *Router) Overhear(from phy.NodeID, msg Message) {
+func (r *Router) Overhear(from phy.NodeID, msg routing.Message) {
 	now := r.sched.Now()
 	switch m := msg.(type) {
 	case *DataPacket:
@@ -546,7 +519,7 @@ func (r *Router) onData(from phy.NodeID, pkt *DataPacket) {
 		return
 	}
 	if r.hooks.DataForwarded != nil {
-		r.hooks.DataForwarded(pkt)
+		r.hooks.DataForwarded(&pkt.Data)
 	}
 	r.transmitData(pkt)
 }

@@ -5,6 +5,7 @@ import (
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
 
@@ -139,7 +140,7 @@ func TestRERRStopsAtFlowSource(t *testing.T) {
 func TestOverhearOwnTransmissionIgnored(t *testing.T) {
 	n := newFakeNet(t)
 	r := n.addRouter(5, DefaultConfig())
-	r.Overhear(5, &DataPacket{Src: 5, Dst: 9, Route: path(5, 6, 9), PayloadBytes: 10})
+	r.Overhear(5, &DataPacket{Data: routing.Data{Src: 5, Dst: 9, PayloadBytes: 10}, Route: path(5, 6, 9)})
 	if r.Cache().Len() != 0 {
 		t.Fatal("router learned from its own transmission")
 	}
@@ -149,7 +150,7 @@ func TestOverhearTransmitterNotOnRoute(t *testing.T) {
 	n := newFakeNet(t)
 	r := n.addRouter(5, DefaultConfig())
 	// Malformed observation: transmitter 7 is not on the carried route.
-	r.Overhear(7, &DataPacket{Src: 0, Dst: 9, Route: path(0, 1, 9), PayloadBytes: 10})
+	r.Overhear(7, &DataPacket{Data: routing.Data{Src: 0, Dst: 9, PayloadBytes: 10}, Route: path(0, 1, 9)})
 	if r.Cache().Len() != 0 {
 		t.Fatal("router learned from inconsistent observation")
 	}
@@ -160,7 +161,7 @@ func TestRcastClassMapping(t *testing.T) {
 	// message types map as §3.3 prescribes when combined with the policy.
 	pol := core.Rcast{}
 	tests := []struct {
-		msg  Message
+		msg  routing.Message
 		want core.Level
 	}{
 		{&DataPacket{}, core.LevelRandomized},

@@ -5,6 +5,7 @@ import (
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
+	"rcast/internal/routing"
 	"rcast/internal/sim"
 )
 
@@ -22,6 +23,7 @@ type fakeNet struct {
 	controlTx map[core.Class]int
 	delivered []*DataPacket
 	dropped   []string
+	rx        *DataPacket // the data packet being handed to a router
 }
 
 func newFakeNet(t *testing.T) *fakeNet {
@@ -61,10 +63,11 @@ type port struct {
 	id  phy.NodeID
 }
 
-func (p port) Send(nh phy.NodeID, msg Message, onResult func(bool)) {
+func (p port) Send(nh phy.NodeID, msg routing.Message, onResult func(bool)) {
 	n := p.net
 	src := p.id
 	n.sched.After(n.delay, func() {
+		n.rx, _ = msg.(*DataPacket)
 		nbrs := n.neighborsOf(src)
 		if nh == phy.Broadcast {
 			for _, o := range nbrs {
@@ -93,10 +96,16 @@ func (p port) Send(nh phy.NodeID, msg Message, onResult func(bool)) {
 
 // addRouter creates a router with hooks wired into the net's counters.
 func (n *fakeNet) addRouter(id phy.NodeID, cfg Config) *Router {
-	hooks := Hooks{
-		DataDelivered: func(p *DataPacket, _ phy.NodeID) { n.delivered = append(n.delivered, p) },
-		DataDropped:   func(_ *DataPacket, reason string) { n.dropped = append(n.dropped, reason) },
-		ControlSent:   func(c core.Class) { n.controlTx[c]++ },
+	hooks := routing.Hooks{
+		DataDelivered: func(p *routing.Data, _ phy.NodeID, _ int) {
+			pkt := n.rx
+			if pkt == nil || &pkt.Data != p {
+				pkt = &DataPacket{Data: *p} // self-addressed: never sent
+			}
+			n.delivered = append(n.delivered, pkt)
+		},
+		DataDropped: func(_ *routing.Data, reason string) { n.dropped = append(n.dropped, reason) },
+		ControlSent: func(c core.Class) { n.controlTx[c]++ },
 	}
 	r := New(id, n.sched, sim.Stream(int64(id), "dsr"), port{net: n, id: id}, cfg, hooks)
 	n.routers[id] = r
@@ -337,7 +346,7 @@ func TestLearnFromTransmitterBothDirections(t *testing.T) {
 	n := newFakeNet(t)
 	r := n.addRouter(9, DefaultConfig())
 	// Node 9 overhears node 2 forwarding a data packet with route 0-1-2-3-4.
-	r.Overhear(2, &DataPacket{Src: 0, Dst: 4, Route: path(0, 1, 2, 3, 4), PayloadBytes: 512})
+	r.Overhear(2, &DataPacket{Data: routing.Data{Src: 0, Dst: 4, PayloadBytes: 512}, Route: path(0, 1, 2, 3, 4)})
 	now := n.sched.Now()
 	if got := r.Cache().Find(now, 4); !samePath(got, path(9, 2, 3, 4)) {
 		t.Fatalf("forward learned route = %v", got)
@@ -430,10 +439,10 @@ func TestGossipDampsFloodBeyondFirstRing(t *testing.T) {
 func TestMessageWireBytes(t *testing.T) {
 	tests := []struct {
 		name string
-		msg  Message
+		msg  routing.Message
 		want int
 	}{
-		{name: "data", msg: &DataPacket{PayloadBytes: 512, Route: path(0, 1, 2)}, want: 512 + 12 + 12},
+		{name: "data", msg: &DataPacket{Data: routing.Data{PayloadBytes: 512}, Route: path(0, 1, 2)}, want: 512 + 12 + 12},
 		{name: "rreq", msg: &RouteRequest{Recorded: path(0, 1)}, want: 12 + 8},
 		{name: "rrep", msg: &RouteReply{Route: path(0, 1, 2), ReplyPath: path(2, 1, 0)}, want: 12 + 24},
 		{name: "rerr", msg: &RouteError{ReturnPath: path(2, 1, 0)}, want: 12 + 8 + 12},

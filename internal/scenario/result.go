@@ -142,8 +142,9 @@ func (w *world) result() *Result {
 	)
 	for i, n := range w.nodes {
 		perNode[i] = n.meter.Joules()
-		if n.router != nil {
-			rs := n.router.Stats()
+		switch r := n.route.(type) {
+		case *dsr.Router:
+			rs := r.Stats()
 			dsrTotal.RREQSent += rs.RREQSent
 			dsrTotal.RREPSent += rs.RREPSent
 			dsrTotal.RERRSent += rs.RERRSent
@@ -154,9 +155,8 @@ func (w *world) result() *Result {
 			dsrTotal.CacheReplies += rs.CacheReplies
 			dsrTotal.LinkFailures += rs.LinkFailures
 			dsrTotal.GossipDropped += rs.GossipDropped
-		}
-		if n.aodvRouter != nil {
-			rs := n.aodvRouter.Stats()
+		case *aodv.Router:
+			rs := r.Stats()
 			aodvTotal.RREQSent += rs.RREQSent
 			aodvTotal.RREPSent += rs.RREPSent
 			aodvTotal.RERRSent += rs.RERRSent

@@ -16,6 +16,7 @@ import (
 	"rcast/internal/odpm"
 	"rcast/internal/phy"
 	"rcast/internal/propagation"
+	"rcast/internal/routing"
 	"rcast/internal/routing/aodv"
 	"rcast/internal/routing/dsr"
 	"rcast/internal/sim"
@@ -23,28 +24,16 @@ import (
 	"rcast/internal/traffic"
 )
 
-// node is one assembled protocol stack. Exactly one of router/aodvRouter
-// is non-nil, per Config.Routing.
+// node is one assembled protocol stack.
 type node struct {
 	id                 phy.NodeID
 	radio              *phy.Radio
 	meter              *energy.Meter
-	router             *dsr.Router
-	aodvRouter         *aodv.Router
+	route              routing.Router // per Config.Routing
 	link               mac.Mac
 	psm                *mac.PSM      // nil for AlwaysOn
 	pm                 *odpm.Manager // nil unless ODPM
 	promiscuousRefresh bool
-}
-
-// sendData originates an application packet via whichever routing protocol
-// the node runs.
-func (n *node) sendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
-	if n.router != nil {
-		n.router.SendData(dst, flowID, payloadBytes)
-		return
-	}
-	n.aodvRouter.SendData(dst, flowID, payloadBytes)
 }
 
 // world is a fully wired simulation.
@@ -72,8 +61,13 @@ type world struct {
 }
 
 // pktKey builds the auditor's end-to-end packet identity.
-func pktKey(src phy.NodeID, flow, seq uint64) audit.PacketKey {
-	return audit.PacketKey{Src: src, Flow: flow, Seq: seq}
+func pktKey(p *routing.Data) audit.PacketKey {
+	return audit.PacketKey{Src: p.Src, Flow: p.FlowID, Seq: p.Seq}
+}
+
+// pktUID renders the trace's packet identity.
+func pktUID(p *routing.Data) string {
+	return trace.PacketUID(p.Src, p.FlowID, p.Seq)
 }
 
 // killer is implemented by every MAC flavour (battery depletion).
@@ -88,6 +82,12 @@ type powerCycler interface {
 	PowerUp()
 }
 
+// stopper is implemented by routers with periodic activity of their own
+// (AODV hellos), halted when the node's battery dies.
+type stopper interface {
+	Stop()
+}
+
 // macUpcalls adapts MAC deliveries to the routing layer.
 type macUpcalls struct {
 	n *node
@@ -96,14 +96,8 @@ type macUpcalls struct {
 var _ mac.Upcalls = macUpcalls{}
 
 func (u macUpcalls) OnReceive(from phy.NodeID, p mac.Packet) {
-	if u.n.router != nil {
-		if msg, ok := p.Payload.(dsr.Message); ok {
-			u.n.router.Receive(from, msg)
-		}
-		return
-	}
-	if msg, ok := p.Payload.(aodv.Message); ok {
-		u.n.aodvRouter.Receive(from, msg)
+	if msg, ok := p.Payload.(routing.Message); ok {
+		u.n.route.Receive(from, msg)
 	}
 }
 
@@ -115,39 +109,19 @@ func (u macUpcalls) OnOverhear(from phy.NodeID, p mac.Packet) {
 	if u.n.pm != nil && u.n.promiscuousRefresh && p.Class == core.ClassData {
 		u.n.pm.OnDataActivity()
 	}
-	if u.n.router != nil {
-		if msg, ok := p.Payload.(dsr.Message); ok {
-			u.n.router.Overhear(from, msg)
-		}
+	if msg, ok := p.Payload.(routing.Message); ok {
+		u.n.route.Overhear(from, msg)
 	}
-	// AODV gathers nothing from overheard packets (paper §1 footnote).
 }
 
-// macTransport adapts the DSR routing layer's sends to the MAC.
+// macTransport adapts the routing layer's sends to the MAC.
 type macTransport struct {
 	n *node
 }
 
-var _ dsr.Transport = macTransport{}
+var _ routing.Transport = macTransport{}
 
-func (t macTransport) Send(nh phy.NodeID, msg dsr.Message, onResult func(bool)) {
-	t.n.link.Send(mac.Packet{
-		Dst:      nh,
-		Class:    msg.Class(),
-		Bytes:    msg.WireBytes(),
-		Payload:  msg,
-		OnResult: onResult,
-	})
-}
-
-// aodvTransport adapts the AODV routing layer's sends to the MAC.
-type aodvTransport struct {
-	n *node
-}
-
-var _ aodv.Transport = aodvTransport{}
-
-func (t aodvTransport) Send(nh phy.NodeID, msg aodv.Message, onResult func(bool)) {
+func (t macTransport) Send(nh phy.NodeID, msg routing.Message, onResult func(bool)) {
 	t.n.link.Send(mac.Packet{
 		Dst:      nh,
 		Class:    msg.Class(),
@@ -351,8 +325,8 @@ func newWorld(cfg Config) (*world, error) {
 
 		switch cfg.Routing {
 		case RoutingAODV:
-			n.aodvRouter = aodv.New(id, w.sched, sim.Stream(cfg.Seed, fmt.Sprintf("aodv/%d", i)),
-				aodvTransport{n: n}, cfg.AODV, w.aodvHooksFor(n))
+			n.route = aodv.New(id, w.sched, sim.Stream(cfg.Seed, fmt.Sprintf("aodv/%d", i)),
+				macTransport{n: n}, cfg.AODV, w.hooksFor(n))
 		default:
 			dsrCfg := cfg.DSR
 			if cfg.GossipFanout > 0 {
@@ -362,7 +336,7 @@ func newWorld(cfg Config) (*world, error) {
 					return w.ch.CountNeighbors(radio, w.sched.Now())
 				}
 			}
-			n.router = dsr.New(id, w.sched, sim.Stream(cfg.Seed, fmt.Sprintf("dsr/%d", i)),
+			n.route = dsr.New(id, w.sched, sim.Stream(cfg.Seed, fmt.Sprintf("dsr/%d", i)),
 				macTransport{n: n}, dsrCfg, w.hooksFor(n))
 		}
 		w.nodes = append(w.nodes, n)
@@ -461,23 +435,19 @@ func (w *world) scheduleAuditSweep() {
 func (w *world) bufferedKeys() []audit.PacketKey {
 	var keys []audit.PacketKey
 	for _, n := range w.nodes {
-		if n.router != nil {
-			for _, p := range n.router.BufferedData() {
-				keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-			}
+		for _, p := range n.route.BufferedData() {
+			keys = append(keys, pktKey(p))
 		}
-		if n.aodvRouter != nil {
-			for _, p := range n.aodvRouter.BufferedData() {
-				keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-			}
-		}
-		for _, mp := range n.link.Queued() {
-			switch p := mp.Payload.(type) {
-			case *dsr.DataPacket:
-				keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-			case *aodv.DataPacket:
-				keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-			}
+		keys = appendQueuedKeys(keys, n.link.Queued())
+	}
+	return keys
+}
+
+// appendQueuedKeys appends the keys of the data packets in a MAC queue.
+func appendQueuedKeys(keys []audit.PacketKey, queue []mac.Packet) []audit.PacketKey {
+	for _, mp := range queue {
+		if p := routing.DataOf(mp.Payload); p != nil {
+			keys = append(keys, pktKey(p))
 		}
 	}
 	return keys
@@ -511,8 +481,8 @@ func (w *world) scheduleBatterySweep() {
 			if k, ok := n.link.(killer); ok {
 				k.Kill()
 			}
-			if n.aodvRouter != nil {
-				n.aodvRouter.Stop()
+			if s, ok := n.route.(stopper); ok {
+				s.Stop()
 			}
 		}
 		w.sched.After(interval, sweep)
@@ -538,25 +508,11 @@ func (w *world) crashNode(id phy.NodeID) {
 	// Flush order is deterministic: router buffers (destination order)
 	// first, then the MAC transmit queue (queue order).
 	var keys []audit.PacketKey
-	if n.router != nil {
-		for _, p := range n.router.Crash() {
-			keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-		}
-	}
-	if n.aodvRouter != nil {
-		for _, p := range n.aodvRouter.Crash() {
-			keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-		}
+	for _, p := range n.route.Crash() {
+		keys = append(keys, pktKey(p))
 	}
 	if pc, ok := n.link.(powerCycler); ok {
-		for _, mp := range pc.PowerDown() {
-			switch p := mp.Payload.(type) {
-			case *dsr.DataPacket:
-				keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-			case *aodv.DataPacket:
-				keys = append(keys, pktKey(p.Src, p.FlowID, p.Seq))
-			}
-		}
+		keys = appendQueuedKeys(keys, pc.PowerDown())
 	}
 	if n.psm == nil {
 		// AlwaysOn never drives its meter; the crash transition is ours.
@@ -589,12 +545,7 @@ func (w *world) recoverNode(id phy.NodeID) {
 	if n.psm == nil {
 		_ = n.meter.SetState(w.sched.Now(), energy.Awake)
 	}
-	if n.router != nil {
-		n.router.Restart()
-	}
-	if n.aodvRouter != nil {
-		n.aodvRouter.Restart()
-	}
+	n.route.Restart()
 }
 
 // trace emits a structured event when tracing is configured.
@@ -634,11 +585,8 @@ func (w *world) nodeName(id phy.NodeID) string {
 // dataUID extracts the application-packet UID from a MAC payload, or ""
 // for control traffic.
 func dataUID(payload any) string {
-	switch p := payload.(type) {
-	case *dsr.DataPacket:
-		return trace.PacketUID(p.Src, p.FlowID, p.Seq)
-	case *aodv.DataPacket:
-		return trace.PacketUID(p.Src, p.FlowID, p.Seq)
+	if p := routing.DataOf(payload); p != nil {
+		return pktUID(p)
 	}
 	return ""
 }
@@ -790,51 +738,49 @@ func (w *world) pathString(path []phy.NodeID) string {
 	return b.String()
 }
 
-// hooksFor wires one node's routing events into metrics, tracing and ODPM.
-// Trace emissions are gated on w.cfg.Trace so untraced runs skip the
-// formatting work entirely, not just the sink call.
-func (w *world) hooksFor(n *node) dsr.Hooks {
-	h := dsr.Hooks{
-		DataOriginated: func(p *dsr.DataPacket) {
+// hooksFor wires one node's routing events into metrics, tracing, the
+// audit and ODPM. Trace emissions are gated on w.cfg.Trace so untraced
+// runs skip the formatting work entirely, not just the sink call.
+func (w *world) hooksFor(n *node) routing.Hooks {
+	h := routing.Hooks{
+		DataOriginated: func(p *routing.Data) {
 			w.col.DataOriginated()
 			if w.aud != nil {
-				w.aud.PacketOriginated(w.sched.Now(), pktKey(p.Src, p.FlowID, p.Seq))
+				w.aud.PacketOriginated(w.sched.Now(), pktKey(p))
 			}
 			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindOriginate, trace.PacketUID(p.Src, p.FlowID, p.Seq),
-					"dst="+w.nodeName(p.Dst))
+				w.tracePkt(n.id, trace.KindOriginate, pktUID(p), "dst="+w.nodeName(p.Dst))
 			}
 		},
-		DataDelivered: func(p *dsr.DataPacket, _ phy.NodeID) {
-			hops := len(p.Route) - 1
+		DataDelivered: func(p *routing.Data, _ phy.NodeID, hops int) {
 			w.col.DataDelivered(w.sched.Now()-p.OriginatedAt, p.PayloadBytes, hops)
 			if w.aud != nil {
-				w.aud.PacketDelivered(w.sched.Now(), n.id, pktKey(p.Src, p.FlowID, p.Seq))
+				w.aud.PacketDelivered(w.sched.Now(), n.id, pktKey(p))
 			}
 			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindDeliver, trace.PacketUID(p.Src, p.FlowID, p.Seq),
+				w.tracePkt(n.id, trace.KindDeliver, pktUID(p),
 					"src="+w.nodeName(p.Src)+" hops="+strconv.Itoa(hops))
 			}
 		},
-		DataDropped: func(p *dsr.DataPacket, reason string) {
+		DataDropped: func(p *routing.Data, reason string) {
 			w.col.DataDropped(reason)
 			if w.aud != nil {
-				w.aud.PacketDropped(w.sched.Now(), n.id, pktKey(p.Src, p.FlowID, p.Seq), reason)
+				w.aud.PacketDropped(w.sched.Now(), n.id, pktKey(p), reason)
 			}
 			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindDrop, trace.PacketUID(p.Src, p.FlowID, p.Seq), reason)
+				w.tracePkt(n.id, trace.KindDrop, pktUID(p), reason)
 			}
 		},
-		DataForwarded: func(p *dsr.DataPacket) {
+		DataForwarded: func(p *routing.Data) {
 			w.col.DataForwarded(n.id)
 			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindForward, trace.PacketUID(p.Src, p.FlowID, p.Seq), "")
+				w.tracePkt(n.id, trace.KindForward, pktUID(p), "")
 			}
 		},
-		DataSalvaged: func(p *dsr.DataPacket) {
+		DataSalvaged: func(p *routing.Data, attempt int, route []phy.NodeID) {
 			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindSalvage, trace.PacketUID(p.Src, p.FlowID, p.Seq),
-					fmt.Sprintf("attempt=%d route=%v", p.Salvaged, p.Route))
+				w.tracePkt(n.id, trace.KindSalvage, pktUID(p),
+					fmt.Sprintf("attempt=%d route=%v", attempt, route))
 			}
 		},
 		ControlSent: func(c core.Class) {
@@ -851,57 +797,6 @@ func (w *world) hooksFor(n *node) dsr.Hooks {
 			if w.cfg.Trace != nil {
 				w.trace(n.id, trace.KindCacheEvict, w.pathString(path))
 			}
-		},
-	}
-	if w.cfg.Scheme == SchemeODPM {
-		pm := n.pm
-		h.RREPReceived = pm.OnRREP
-		h.DataActivity = pm.OnDataActivity
-	}
-	return h
-}
-
-// aodvHooksFor mirrors hooksFor for the AODV routing layer.
-func (w *world) aodvHooksFor(n *node) aodv.Hooks {
-	h := aodv.Hooks{
-		DataOriginated: func(p *aodv.DataPacket) {
-			w.col.DataOriginated()
-			if w.aud != nil {
-				w.aud.PacketOriginated(w.sched.Now(), pktKey(p.Src, p.FlowID, p.Seq))
-			}
-			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindOriginate, trace.PacketUID(p.Src, p.FlowID, p.Seq),
-					"dst="+w.nodeName(p.Dst))
-			}
-		},
-		DataDelivered: func(p *aodv.DataPacket, _ phy.NodeID) {
-			w.col.DataDelivered(w.sched.Now()-p.OriginatedAt, p.PayloadBytes, p.HopsTaken+1)
-			if w.aud != nil {
-				w.aud.PacketDelivered(w.sched.Now(), n.id, pktKey(p.Src, p.FlowID, p.Seq))
-			}
-			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindDeliver, trace.PacketUID(p.Src, p.FlowID, p.Seq),
-					"src="+w.nodeName(p.Src)+" hops="+strconv.Itoa(p.HopsTaken+1))
-			}
-		},
-		DataDropped: func(p *aodv.DataPacket, reason string) {
-			w.col.DataDropped(reason)
-			if w.aud != nil {
-				w.aud.PacketDropped(w.sched.Now(), n.id, pktKey(p.Src, p.FlowID, p.Seq), reason)
-			}
-			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindDrop, trace.PacketUID(p.Src, p.FlowID, p.Seq), reason)
-			}
-		},
-		DataForwarded: func(p *aodv.DataPacket) {
-			w.col.DataForwarded(n.id)
-			if w.cfg.Trace != nil {
-				w.tracePkt(n.id, trace.KindForward, trace.PacketUID(p.Src, p.FlowID, p.Seq), "")
-			}
-		},
-		ControlSent: func(c core.Class) {
-			w.col.ControlSent(c)
-			w.trace(n.id, trace.KindControl, c.String())
 		},
 	}
 	if w.cfg.Scheme == SchemeODPM {
@@ -935,7 +830,7 @@ func (w *world) startTraffic() error {
 			if w.down[c.Src] {
 				return // a crashed source originates nothing
 			}
-			src.sendData(dst, flowID, bytes)
+			src.route.SendData(dst, flowID, bytes)
 		})
 		if err != nil {
 			return err
