@@ -4,15 +4,15 @@
 # propagation-grid, reach-list, fading-verdict and config-decoder targets,
 # the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
 # 100-node route-learning cell, the 100-node mobile paper cell, that
-# cell's world set-up and a 40-node shadowing cell), a benchmark smoke run, a tracediff smoke
-# (audit inert / seeds diverge), the golden-trace corpus gate (every
-# committed cell re-runs and replays byte-identically), a
-# record/replay round-trip smoke through the rcast-sim CLI,
-# an invariant-audited experiment smoke (Table 1 and A8–A10) under the
-# race detector, the end-to-end rcast-serve smoke (race-built daemon:
-# submit/poll/parity/cache/429/drain), and the fleet smoke (coordinator +
-# two race-built workers: sweep sharding, peer-cache fill, serial
-# byte-parity).
+# cell's world set-up and a 40-node shadowing cell), a benchmark smoke
+# run, a tracediff smoke (audit inert / seeds diverge), the golden-trace
+# corpus gate (every committed cell re-runs and replays byte-identically),
+# record/replay round-trips through the rcast-sim CLI (plain, fading +
+# Gauss–Markov, policy + battery + TX power, AODV + all faults), an
+# invariant-audited experiment smoke (Table 1 and A8–A10) under the race
+# detector, and the end-to-end rcast-serve smoke (race-built daemons:
+# submit/poll/parity/cache/429/drain/early SIGTERM, then a coordinator
+# over two workers: sweep sharding, peer-cache fill, serial byte-parity).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,35 +83,31 @@ go run ./tools/tracegate
 echo "== replay round-trip smoke =="
 # Record a run through the CLI, replay it from the trace, and require both
 # the report and the re-emitted trace to be byte-identical to the original.
+# The flag sets cover: a plain static cell; a random channel with
+# non-default mobility (the chan-lost decision stream); a named
+# overhearing policy at reduced transmit power with finite batteries (the
+# registry policy's lottery stream and power-scaled energy accounting);
+# and AODV under every fault preset with a battery that runs out (its
+# crash, recovery and battery-death wiring: 2 crashes, 1 recovery, 1
+# death at this seed).
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-go run ./cmd/rcast-sim -nodes 12 -duration 12s -static -connections 3 -seed 4 \
-  -trace "$tmpdir/rec.ndjson" > "$tmpdir/rec.out"
-go run ./cmd/rcast-sim -nodes 12 -duration 12s -static -connections 3 -seed 4 \
-  -replay "$tmpdir/rec.ndjson" -trace "$tmpdir/rep.ndjson" > "$tmpdir/rep.out"
-cmp "$tmpdir/rec.out" "$tmpdir/rep.out"
-cmp "$tmpdir/rec.ndjson" "$tmpdir/rep.ndjson"
-# Same round-trip under a random channel + non-default mobility: the
-# chan-lost decision stream must replay the faded run byte-identically.
-go run ./cmd/rcast-sim -nodes 12 -duration 12s -connections 3 -seed 4 \
-  -channel fading -mobility gauss-markov \
-  -trace "$tmpdir/fade.ndjson" > "$tmpdir/fade.out"
-go run ./cmd/rcast-sim -nodes 12 -duration 12s -connections 3 -seed 4 \
-  -channel fading -mobility gauss-markov \
-  -replay "$tmpdir/fade.ndjson" -trace "$tmpdir/fade2.ndjson" > "$tmpdir/fade2.out"
-cmp "$tmpdir/fade.out" "$tmpdir/fade2.out"
-cmp "$tmpdir/fade.ndjson" "$tmpdir/fade2.ndjson"
-# And under a named overhearing policy at reduced transmit power with
-# finite batteries: the registry-selected policy's lottery stream and the
-# power-scaled energy accounting must round-trip byte-identically too.
-go run ./cmd/rcast-sim -nodes 12 -duration 12s -static -connections 3 -seed 4 \
-  -policy battery -battery 2000 -tx-power -3 \
-  -trace "$tmpdir/pol.ndjson" > "$tmpdir/pol.out"
-go run ./cmd/rcast-sim -nodes 12 -duration 12s -static -connections 3 -seed 4 \
-  -policy battery -battery 2000 -tx-power -3 \
-  -replay "$tmpdir/pol.ndjson" -trace "$tmpdir/pol2.ndjson" > "$tmpdir/pol2.out"
-cmp "$tmpdir/pol.out" "$tmpdir/pol2.out"
-cmp "$tmpdir/pol.ndjson" "$tmpdir/pol2.ndjson"
+i=0
+for flags in \
+  "-duration 12s -seed 4 -static" \
+  "-duration 12s -seed 4 -channel fading -mobility gauss-markov" \
+  "-duration 12s -seed 4 -static -policy battery -battery 2000 -tx-power -3" \
+  "-duration 45s -seed 29 -routing AODV -faults all -battery 30"; do
+  i=$((i + 1))
+  # shellcheck disable=SC2086 # each flag set splits into words on purpose
+  go run ./cmd/rcast-sim -nodes 12 -connections 3 $flags \
+    -trace "$tmpdir/rec$i.ndjson" > "$tmpdir/rec$i.out"
+  # shellcheck disable=SC2086
+  go run ./cmd/rcast-sim -nodes 12 -connections 3 $flags \
+    -replay "$tmpdir/rec$i.ndjson" -trace "$tmpdir/rep$i.ndjson" > "$tmpdir/rep$i.out"
+  cmp "$tmpdir/rec$i.out" "$tmpdir/rep$i.out"
+  cmp "$tmpdir/rec$i.ndjson" "$tmpdir/rep$i.ndjson"
+done
 
 echo "== audited experiment smoke (race) =="
 # Table 1 plus the fault, channel and tx-power sweeps (A8–A10), every run
@@ -120,8 +116,5 @@ go run -race ./cmd/rcast-bench -profile quick -only table1,a8,a9,a10 -reps 1 -au
 
 echo "== serve smoke (race) =="
 go run ./tools/servesmoke
-
-echo "== fleet smoke (race) =="
-go run ./tools/fleetsmoke
 
 echo "ci: OK"
