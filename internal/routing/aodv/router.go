@@ -249,7 +249,7 @@ func (r *Router) SendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
 		r.hooks.DataOriginated(&pkt.Data)
 	}
 	if dst == r.id {
-		r.deliver(pkt, r.id)
+		r.deliver(pkt, r.id, 0)
 		return
 	}
 	r.forwardOrDiscover(pkt)
@@ -300,13 +300,13 @@ func (r *Router) handleLinkFailure(pkt *DataPacket, nh phy.NodeID) {
 	r.drop(pkt, "link-failure")
 }
 
-func (r *Router) deliver(pkt *DataPacket, from phy.NodeID) {
+func (r *Router) deliver(pkt *DataPacket, from phy.NodeID, hops int) {
 	r.stats.Delivered++
 	if r.hooks.DataActivity != nil {
 		r.hooks.DataActivity()
 	}
 	if r.hooks.DataDelivered != nil {
-		r.hooks.DataDelivered(&pkt.Data, from, pkt.HopsTaken+1)
+		r.hooks.DataDelivered(&pkt.Data, from, hops)
 	}
 }
 
@@ -440,7 +440,7 @@ func (r *Router) onData(from phy.NodeID, pkt *DataPacket) {
 	// Seeing traffic from `from` refreshes the neighbor route.
 	r.table.Update(now, from, from, 1, r.table.LastKnownSeq(from), r.cfg.ActiveRouteTimeout)
 	if pkt.Dst == r.id {
-		r.deliver(pkt, from)
+		r.deliver(pkt, from, pkt.HopsTaken+1)
 		return
 	}
 	fwd := *pkt

@@ -267,6 +267,7 @@ func TestCacheHintIsOnlyAHint(t *testing.T) {
 				probe = path(0, 1, 2)
 			}
 			now := tt.perturb(p)
+			p.now = now
 			if got := p.got.hints[hintSlot(probe)]; got != cover {
 				t.Fatalf("hint for %v = %d, want the stale %d", probe, got, cover)
 			}

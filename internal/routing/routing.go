@@ -60,7 +60,8 @@ type Transport interface {
 type Hooks struct {
 	DataOriginated func(p *Data)
 	// DataDelivered fires at the destination; hops is the number of links
-	// the packet crossed, as the protocol counts them.
+	// the packet crossed, as the protocol counts them: 0 for a packet its
+	// source addressed to itself.
 	DataDelivered func(p *Data, from phy.NodeID, hops int)
 	DataForwarded func(p *Data)
 	DataDropped   func(p *Data, reason string)

@@ -68,7 +68,8 @@ func (n *loopNet) hooks(id phy.NodeID) routing.Hooks {
 
 // TestRouterContract drives DSR and AODV through routing.Router on the
 // line 0-1-2 with node 3 isolated, and requires both to report the same
-// data-plane events: hop counts, crash hand-back, restart and giving up.
+// data-plane events: hop counts (0 for a packet sent to itself), crash
+// hand-back, restart and giving up.
 func TestRouterContract(t *testing.T) {
 	protocols := []struct {
 		name string
@@ -130,6 +131,9 @@ func TestRouterContract(t *testing.T) {
 
 			src.SendData(3, 7, 64)
 			expect(500*sim.Second, "originate n0 n0/7/4", "drop n0 n0/7/4 no-route")
+
+			src.SendData(0, 7, 64)
+			expect(n.sched.Now(), "originate n0 n0/7/5", "deliver n0 n0/7/5 hops=0")
 		})
 	}
 }
