@@ -56,7 +56,7 @@ go run ./tools/perfsmoke
 echo "== bench smoke =="
 go test -run '^$' -bench 'BenchmarkFullRunRcast$|BenchmarkChannelTransmit|BenchmarkWorldSetup$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkStream$' -benchtime 1x ./internal/sim
-go test -run '^$' -bench 'BenchmarkCacheAdd$|BenchmarkCacheInsertEvict$|BenchmarkLearnFromTransmitter$' -benchtime 1x ./internal/routing/dsr
+go test -run '^$' -bench 'BenchmarkCacheAdd$|BenchmarkCacheInsertEvict$|BenchmarkLearnFromTransmitter$|BenchmarkLearnMemoHit$' -benchtime 1x ./internal/routing/dsr
 go test -run '^$' -bench 'BenchmarkTransmit|BenchmarkVisitNeighbors|BenchmarkCountNeighbors' -benchtime 1x ./internal/phy
 
 echo "== tracediff smoke =="
