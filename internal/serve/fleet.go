@@ -308,7 +308,7 @@ func (f *fleetExecutor) probePeers(ctx context.Context, w *fleetWorker, key stri
 		if resp.StatusCode != http.StatusOK {
 			continue
 		}
-		body, err := f.fetchResult(ctx, c.url, key)
+		body, err := f.get(ctx, c.url+"/api/v1/results/"+key)
 		if err != nil {
 			continue
 		}
@@ -317,8 +317,9 @@ func (f *fleetExecutor) probePeers(ctx context.Context, w *fleetWorker, key stri
 	return nil, "", false
 }
 
-func (f *fleetExecutor) fetchResult(ctx context.Context, baseURL, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/api/v1/results/"+key, nil)
+// get fetches url, which must answer 200, and returns its body.
+func (f *fleetExecutor) get(ctx context.Context, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +329,7 @@ func (f *fleetExecutor) fetchResult(ctx context.Context, baseURL, key string) ([
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s/api/v1/results/%s: %s", baseURL, key, resp.Status)
+		return nil, errors.New(resp.Status)
 	}
 	return io.ReadAll(resp.Body)
 }
@@ -417,24 +418,13 @@ func (f *fleetExecutor) runOnWorker(ctx context.Context, w *fleetWorker, cell *S
 }
 
 func (f *fleetExecutor) fetchJobResult(ctx context.Context, w *fleetWorker, jobID string, cell *SweepCell) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/api/v1/jobs/"+jobID+"/result", nil)
-	if err != nil {
-		return nil, lossErr("GET %s/api/v1/jobs/%s/result: %v", w.url, jobID, err)
-	}
-	resp, err := f.opts.HTTPClient.Do(req)
+	url := w.url + "/api/v1/jobs/" + jobID + "/result"
+	body, err := f.get(ctx, url)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, lossErr("GET %s/api/v1/jobs/%s/result: %v", w.url, jobID, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, lossErr("GET %s/api/v1/jobs/%s/result: %s", w.url, jobID, resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, lossErr("GET %s/api/v1/jobs/%s/result: %v", w.url, jobID, err)
+		return nil, lossErr("GET %s: %v", url, err)
 	}
 	if got, err := cellResultKey(body); err != nil || got != cell.Key {
 		return nil, &cellError{err: fmt.Errorf("cell %d: worker %s returned result for key %q, want %q", cell.Index, w.url, got, cell.Key), kind: cellErrFatal}

@@ -87,6 +87,108 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// answerSubmit answers an admission outcome: 400 with err, 429 with
+// full as the reason and a Retry-After hint, 503 naming what is not
+// accepted, or the admitted status (200 for a cache hit, else 202), which
+// status renders only then.
+func (s *Server) answerSubmit(w http.ResponseWriter, outcome Outcome, err error, noun, full string, status func() any) {
+	switch outcome {
+	case OutcomeInvalid:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case OutcomeQueueFull:
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
+		writeError(w, http.StatusTooManyRequests, "%s; retry later", full)
+	case OutcomeDraining:
+		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting %s", noun)
+	case OutcomeCacheHit:
+		writeJSON(w, http.StatusOK, status())
+	default: // OutcomeAccepted, OutcomeCoalesced
+		writeJSON(w, http.StatusAccepted, status())
+	}
+}
+
+// fromPath resolves the {id} wildcard in reg, answering 404 itself on a
+// miss.
+func fromPath[T entry](w http.ResponseWriter, r *http.Request, reg *registry[T]) (T, bool) {
+	id := r.PathValue("id")
+	v, ok := reg.get(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown %s %q", reg.prefix, id)
+	}
+	return v, ok
+}
+
+// writeResult serves a done lifecycle's result bytes with its key and
+// cache headers, or 409 saying why there are none.
+func writeResult[E sseEvent](w http.ResponseWriter, noun string, l *lifecycle[E]) {
+	l.mu.Lock()
+	state, msg, hit, body := l.state, l.err, l.cacheHit, l.result
+	l.mu.Unlock()
+	switch {
+	case !state.Terminal():
+		writeError(w, http.StatusConflict, "%s %s is %s; result not ready", noun, l.ID, state)
+	case state != StateDone:
+		writeError(w, http.StatusConflict, "%s %s is %s: %s", noun, l.ID, state, msg)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Rcast-Key", l.Key)
+		if hit {
+			w.Header().Set("X-Rcast-Cache", "hit")
+		} else {
+			w.Header().Set("X-Rcast-Cache", "miss")
+		}
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
+	}
+}
+
+// streamEvents streams a lifecycle's events as server-sent events: the
+// current snapshot at once, then every later event, each framed
+// "event: <name>\ndata: <json>\n\n", ending after the last frame or
+// when the client disconnects.
+func streamEvents[E sseEvent](w http.ResponseWriter, r *http.Request, l *lifecycle[E], buf int) {
+	fl, canFlush := w.(http.Flusher)
+	if !canFlush {
+		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(http.StatusOK)
+
+	ch, unsub := l.subscribe(buf)
+	defer unsub()
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case ev := <-ch:
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			name, last := ev.frame()
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data); err != nil {
+				return
+			}
+			fl.Flush()
+			if last {
+				return
+			}
+		}
+	}
+}
+
+// canceled applies the shared cancel rule, answering 409 itself when
+// there is nothing to cancel.
+func canceled[E sseEvent](w http.ResponseWriter, noun string, l *lifecycle[E]) bool {
+	if l.requestCancel() {
+		return true
+	}
+	writeError(w, http.StatusConflict, "%s %s is %s; nothing to cancel", noun, l.ID, l.State())
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseJobRequest(r.Body)
 	if err != nil {
@@ -95,74 +197,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, outcome, err := s.Submit(req)
-	switch outcome {
-	case OutcomeInvalid:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case OutcomeQueueFull:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "job queue full (capacity %d); retry later", cap(s.queue))
-	case OutcomeDraining:
-		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
-	case OutcomeCacheHit:
-		writeJSON(w, http.StatusOK, job.status())
-	default: // OutcomeAccepted, OutcomeCoalesced
-		writeJSON(w, http.StatusAccepted, job.status())
-	}
+	s.answerSubmit(w, outcome, err, "jobs", fmt.Sprintf("job queue full (capacity %d)", cap(s.queue)),
+		func() any { return job.status() })
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Statuses())
 }
 
-// jobFromPath resolves the {id} wildcard, answering 404 itself on a miss.
-func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	id := r.PathValue("id")
-	job, ok := s.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return nil, false
-	}
-	return job, true
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.jobFromPath(w, r); ok {
+	if job, ok := fromPath(w, r, &s.jobs); ok {
 		writeJSON(w, http.StatusOK, job.status())
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFromPath(w, r)
-	if !ok {
-		return
-	}
-	st := job.status()
-	switch {
-	case !st.State.Terminal():
-		writeError(w, http.StatusConflict, "job %s is %s; result not ready", job.ID, st.State)
-	case st.State != StateDone:
-		writeError(w, http.StatusConflict, "job %s is %s: %s", job.ID, st.State, st.Error)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Rcast-Key", job.Key)
-		if st.CacheHit {
-			w.Header().Set("X-Rcast-Cache", "hit")
-		} else {
-			w.Header().Set("X-Rcast-Cache", "miss")
-		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(job.Result())
+	if job, ok := fromPath(w, r, &s.jobs); ok {
+		writeResult(w, "job", &job.lifecycle)
 	}
 }
 
 // handleTrace serves the packet-lifecycle trace artifact of a traced,
 // completed job as NDJSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFromPath(w, r)
+	job, ok := fromPath(w, r, &s.jobs)
 	if !ok {
 		return
 	}
-	if !job.TraceRequested() {
+	if !job.traceRequested {
 		writeError(w, http.StatusNotFound, "job %s was not submitted with trace=true", job.ID)
 		return
 	}
@@ -190,55 +252,81 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents streams status transitions as server-sent events: the
-// current snapshot immediately, then every change, ending when the job
-// reaches a terminal state or the client disconnects.
+// handleEvents streams a job's status transitions ("state" frames),
+// ending at its terminal state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFromPath(w, r)
-	if !ok {
-		return
-	}
-	fl, canFlush := w.(http.Flusher)
-	if !canFlush {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-
-	ch, unsub := job.subscribe()
-	defer unsub()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case st := <-ch:
-			data, err := json.Marshal(st)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: state\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
-			if st.State.Terminal() {
-				return
-			}
-		}
+	if job, ok := fromPath(w, r, &s.jobs); ok {
+		streamEvents(w, r, &job.lifecycle, jobEventBuffer)
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFromPath(w, r)
+	if job, ok := fromPath(w, r, &s.jobs); ok && canceled(w, "job", &job.lifecycle) {
+		writeJSON(w, http.StatusAccepted, job.status())
+	}
+}
+
+func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := ParseSweepRequest(r.Body)
+	if err != nil {
+		s.mRejected.Inc("bad_request")
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	sw, outcome, err := s.SubmitSweep(req)
+	s.answerSubmit(w, outcome, err, "sweeps", fmt.Sprintf("sweep intake full (%d sweeps in flight)", s.opts.QueueDepth),
+		func() any { return sw.status() })
+}
+
+func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.SweepStatuses())
+}
+
+func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
+	if sw, ok := fromPath(w, r, &s.sweeps); ok {
+		writeJSON(w, http.StatusOK, sw.detailStatus())
+	}
+}
+
+func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
+	if sw, ok := fromPath(w, r, &s.sweeps); ok {
+		writeResult(w, "sweep", &sw.lifecycle)
+	}
+}
+
+// handleSweepEvents streams sweep progress: a "cell" frame per completed
+// cell and a "sweep" frame per lifecycle transition, ending at the
+// terminal one.
+func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
+	if sw, ok := fromPath(w, r, &s.sweeps); ok {
+		streamEvents(w, r, &sw.lifecycle, sweepEventBuffer)
+	}
+}
+
+func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
+	if sw, ok := fromPath(w, r, &s.sweeps); ok && canceled(w, "sweep", &sw.lifecycle) {
+		writeJSON(w, http.StatusAccepted, sw.status())
+	}
+}
+
+// handleResultByKey serves raw cached result bytes by canonical key. A
+// GET registration also answers HEAD, which is the fleet's cheap
+// peer-cache probe: a coordinator HEADs its workers before computing a
+// cell, and any 200 means the worker can serve the bytes immediately.
+func (s *Server) handleResultByKey(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
+	body, ok := s.cache.Get(key)
 	if !ok {
+		writeError(w, http.StatusNotFound, "no cached result for key %q", key)
 		return
 	}
-	if !s.Cancel(job.ID) {
-		writeError(w, http.StatusConflict, "job %s is %s; nothing to cancel", job.ID, job.State())
-		return
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Rcast-Key", key)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if r.Method != http.MethodHead {
+		_, _ = w.Write(body)
 	}
-	writeJSON(w, http.StatusAccepted, job.status())
 }
 
 // healthBody is the /healthz payload.

@@ -1,59 +1,33 @@
 package serve
 
 import (
-	"context"
-	"sync"
 	"time"
 
 	"rcast/internal/scenario"
 )
 
-// State is a job's lifecycle state.
-type State string
+// jobEventBuffer is a job subscriber's channel buffer: well beyond the
+// number of transitions a job can make, so events are not normally
+// dropped.
+const jobEventBuffer = 8
 
-// Job states. Queued and Running are transient; Done, Failed and
-// Canceled are terminal. A cache-served job is born Done.
-const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
-)
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// Job is one admitted submission. All mutable fields are guarded by mu;
-// the identity fields (ID, Key, cfg, reps, timeout) are set once at
-// admission and never change.
+// Job is one admitted submission: the shared lifecycle plus the run it
+// executes and its trace artifact. The run fields (cfg, reps, timeout,
+// traceRequested) are set once at admission and never change; the trace
+// fields are guarded by mu.
 type Job struct {
-	ID  string
-	Key string
+	lifecycle[Status]
 
 	cfg            scenario.Config
 	reps           int
 	timeout        time.Duration
 	traceRequested bool
 
-	mu        sync.Mutex
-	state     State
-	err       string
-	cacheHit  bool
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	result    []byte
 	traceData []byte // captured NDJSON trace (traced jobs only)
 	// traceCaptured distinguishes "executed and captured a (possibly
 	// empty or partial) trace" from "never ran": a traced job canceled
 	// while still queued has nothing to serve.
 	traceCaptured bool
-	cancel        context.CancelCauseFunc
-	subs          map[int]chan Status
-	nextSub       int
 }
 
 // Status is the poll/SSE view of a job.
@@ -69,6 +43,9 @@ type Status struct {
 	StartedAt   time.Time `json:"started_at,omitempty"`
 	FinishedAt  time.Time `json:"finished_at,omitempty"`
 }
+
+// frame names a job's SSE frames "state"; the terminal one is the last.
+func (st Status) frame() (string, bool) { return "state", st.State.Terminal() }
 
 // status snapshots the job under its lock.
 func (j *Job) status() Status {
@@ -92,24 +69,6 @@ func (j *Job) statusLocked() Status {
 	}
 }
 
-// State returns the current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Result returns the stored result bytes (nil unless StateDone).
-func (j *Job) Result() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
-// TraceRequested reports whether the submission asked for a trace
-// artifact (identity field; set once at admission).
-func (j *Job) TraceRequested() bool { return j.traceRequested }
-
 // Trace returns the captured NDJSON trace bytes and whether a trace was
 // captured at all. Failed, canceled and timed-out traced jobs keep their
 // partial trace; only a traced job that never started executing reports
@@ -118,71 +77,4 @@ func (j *Job) Trace() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.traceData, j.traceCaptured
-}
-
-// setState transitions the job and broadcasts the new status to
-// subscribers, refusing to leave a terminal state (so a finish can never
-// overwrite a concurrent cancel, or vice versa). Extra mutations
-// (timestamps, result, error) are applied under the same lock via apply.
-// Reports whether the transition happened.
-func (j *Job) setState(st State, apply func(*Job)) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.applyLocked(st, apply)
-	j.mu.Unlock()
-	return true
-}
-
-// tryTransition performs from→to atomically: it fails without side
-// effects unless the job is exactly in state from.
-func (j *Job) tryTransition(from, to State, apply func(*Job)) bool {
-	j.mu.Lock()
-	if j.state != from {
-		j.mu.Unlock()
-		return false
-	}
-	j.applyLocked(to, apply)
-	j.mu.Unlock()
-	return true
-}
-
-// applyLocked mutates and broadcasts; callers hold j.mu.
-func (j *Job) applyLocked(st State, apply func(*Job)) {
-	j.state = st
-	if apply != nil {
-		apply(j)
-	}
-	snap := j.statusLocked()
-	for _, ch := range j.subs {
-		select {
-		case ch <- snap:
-		default: // subscriber stalled; it will resync from the next event
-		}
-	}
-}
-
-// subscribe registers a status listener. The returned channel first
-// carries the current snapshot, then every subsequent transition; the
-// second return value unsubscribes. The channel is buffered well beyond
-// the number of lifecycle transitions a job can make, so events are not
-// normally dropped.
-func (j *Job) subscribe() (<-chan Status, func()) {
-	ch := make(chan Status, 8)
-	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[int]chan Status)
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	ch <- j.statusLocked()
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, id)
-		j.mu.Unlock()
-	}
 }

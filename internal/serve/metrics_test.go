@@ -31,12 +31,12 @@ func TestMetricsPageGolden(t *testing.T) {
 	s.mRuns.Inc("disk", "rcast")
 	s.mRejected.Inc("queue_full")
 	s.mRejected.Inc("invalid")
-	s.mJobsTerminal.Inc("done")
-	s.mJobsTerminal.Inc("done")
-	s.mJobsTerminal.Inc("canceled")
+	s.jobs.states.Inc("done")
+	s.jobs.states.Inc("done")
+	s.jobs.states.Inc("canceled")
 	s.mRunSeconds.Observe(0.2)
 	s.mRunSeconds.Observe(7)
-	s.mSweepsTerminal.Inc("done")
+	s.sweeps.states.Inc("done")
 	s.mFleetCells.Inc(CellSourceComputed)
 	s.mFleetCells.Inc(CellSourcePeerCache)
 	s.mFleetCells.Inc(CellSourceComputed)

@@ -5,21 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
-
 	"sync"
+	"time"
 
 	"rcast/internal/metrics/promtext"
 	"rcast/internal/scenario"
 	"rcast/internal/trace"
-)
-
-// Cancellation causes, distinguishable via context.Cause so a user cancel,
-// an expired job deadline and a server shutdown report different terminal
-// states.
-var (
-	errCanceledByUser = errors.New("serve: job canceled by client")
-	errShutdown       = errors.New("serve: server shutting down")
 )
 
 // Options configures a Server. The zero value selects the documented
@@ -100,34 +91,30 @@ type Server struct {
 	// mode. Either way the bytes per cell are byte-identical.
 	sweepExec sweepExecutor
 
-	mu          sync.Mutex
-	jobs        map[string]*Job
-	order       []string        // submission order, for listing
-	byKey       map[string]*Job // non-terminal jobs by cache key (coalescing)
-	queue       chan *Job
-	nextID      int
-	sweeps      map[string]*Sweep
-	sweepOrder  []string
-	nextSweepID int
-	draining    bool
+	// mu serializes admission: the draining flag, the coalescing index
+	// and the queue sends.
+	mu       sync.Mutex
+	byKey    map[string]*Job // non-terminal jobs by cache key (coalescing)
+	queue    chan *Job
+	draining bool
+	jobs     registry[*Job]
+	sweeps   registry[*Sweep]
 
 	baseCtx   context.Context
 	forceStop context.CancelCauseFunc
 	wg        sync.WaitGroup
 
-	reg           *promtext.Registry
-	mSubmitted    *promtext.Counter
-	mRuns         *promtext.Family
-	mCacheHits    *promtext.Counter
-	mCacheMisses  *promtext.Counter
-	mCoalesced    *promtext.Counter
-	mRejected     *promtext.Family
-	mJobsTerminal *promtext.Family
-	mRunning      *promtext.Gauge
-	mRunSeconds   *promtext.Histogram
+	reg          *promtext.Registry
+	mSubmitted   *promtext.Counter
+	mRuns        *promtext.Family
+	mCacheHits   *promtext.Counter
+	mCacheMisses *promtext.Counter
+	mCoalesced   *promtext.Counter
+	mRejected    *promtext.Family
+	mRunning     *promtext.Gauge
+	mRunSeconds  *promtext.Histogram
 
 	mSweepsSubmitted *promtext.Counter
-	mSweepsTerminal  *promtext.Family
 	mSweepsRunning   *promtext.Gauge
 	mFleetCells      *promtext.Family
 	mFleetRetries    *promtext.Counter
@@ -150,24 +137,15 @@ func channelLabel(cfg scenario.Config) string {
 	return cfg.Channel
 }
 
-// policyLabel renders a config's effective overhearing policy for the
-// runs metric ("" resolves to the scheme default's name, matching the
-// canonical encoding).
-func policyLabel(cfg scenario.Config) string {
-	return cfg.EffectivePolicyName()
-}
-
 // New creates a server and starts its worker pool.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:   opts,
-		cache:  newResultCache(opts.CacheEntries),
-		jobs:   make(map[string]*Job),
-		byKey:  make(map[string]*Job),
-		queue:  make(chan *Job, opts.QueueDepth),
-		sweeps: make(map[string]*Sweep),
-		reg:    promtext.NewRegistry(),
+		opts:  opts,
+		cache: newResultCache(opts.CacheEntries),
+		byKey: make(map[string]*Job),
+		queue: make(chan *Job, opts.QueueDepth),
+		reg:   promtext.NewRegistry(),
 
 		traceTallies: make(map[string]*trace.SyncCounter),
 	}
@@ -176,8 +154,8 @@ func New(opts Options) *Server {
 		return scenario.RunReplicationsContext(ctx, cfg, reps, workers)
 	}
 	// WithCancelCause, not WithCancel: a force-stop must surface as
-	// errShutdown through context.Cause, or classifyRunError reports the
-	// generic "context canceled" instead of "server shutting down".
+	// errShutdown through context.Cause, or outcome reports the generic
+	// "context canceled" instead of "server shutting down".
 	s.baseCtx, s.forceStop = context.WithCancelCause(context.Background())
 
 	s.mSubmitted = s.reg.NewCounter("rcast_serve_jobs_submitted_total", "Job submissions admitted (cache hits and coalesced submissions included).")
@@ -186,7 +164,8 @@ func New(opts Options) *Server {
 	s.mCacheMisses = s.reg.NewCounter("rcast_serve_cache_misses_total", "Submissions that missed the result cache and were queued.")
 	s.mCoalesced = s.reg.NewCounter("rcast_serve_jobs_coalesced_total", "Submissions attached to an identical in-flight job.")
 	s.mRejected = s.reg.NewCounterFamily("rcast_serve_rejected_total", "Rejected submissions by reason.", "reason")
-	s.mJobsTerminal = s.reg.NewCounterFamily("rcast_serve_jobs_total", "Jobs reaching a terminal state.", "state")
+	s.jobs.prefix = "job"
+	s.jobs.states = s.reg.NewCounterFamily("rcast_serve_jobs_total", "Jobs reaching a terminal state.", "state")
 	s.mRunning = s.reg.NewGauge("rcast_serve_jobs_running", "Jobs currently executing.")
 	s.mRunSeconds = s.reg.NewHistogram("rcast_serve_run_seconds", "Wall-clock latency of executed jobs.",
 		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300})
@@ -200,7 +179,8 @@ func New(opts Options) *Server {
 		return int64(s.cache.Len())
 	})
 	s.mSweepsSubmitted = s.reg.NewCounter("rcast_serve_sweeps_submitted_total", "Sweep submissions admitted (whole-sweep cache hits included).")
-	s.mSweepsTerminal = s.reg.NewCounterFamily("rcast_serve_sweeps_total", "Sweeps reaching a terminal state.", "state")
+	s.sweeps.prefix = "sweep"
+	s.sweeps.states = s.reg.NewCounterFamily("rcast_serve_sweeps_total", "Sweeps reaching a terminal state.", "state")
 	s.mSweepsRunning = s.reg.NewGauge("rcast_serve_sweeps_running", "Sweeps currently executing.")
 	s.mFleetCells = s.reg.NewCounterFamily("rcast_serve_fleet_cells_total", "Sweep cells resolved, by source (computed, local_cache, peer_cache).", "source")
 	s.mFleetRetries = s.reg.NewCounter("rcast_serve_fleet_retries_total", "Sweep cells re-dispatched after a fleet worker was lost.")
@@ -242,15 +222,11 @@ func (s *Server) Submit(req JobRequest) (*Job, Outcome, error) {
 	// in-flight (untraced) twin. Its result is still cached afterwards.
 	if !req.Trace {
 		if cached, ok := s.cache.Get(key); ok {
-			job := s.newJobLocked(key, cfg, reps, timeout)
-			job.state = StateDone
-			job.cacheHit = true
-			job.result = cached
-			job.finished = job.submitted
-			s.registerLocked(job)
+			job := s.newJob(key, cfg, reps, timeout)
+			job.servedFromCache(cached)
+			s.jobs.add(job)
 			s.mSubmitted.Inc()
 			s.mCacheHits.Inc()
-			s.mJobsTerminal.Inc(string(StateDone))
 			return job, OutcomeCacheHit, nil
 		}
 		if prior, ok := s.byKey[key]; ok {
@@ -259,19 +235,16 @@ func (s *Server) Submit(req JobRequest) (*Job, Outcome, error) {
 			return prior, OutcomeCoalesced, nil
 		}
 	}
-	// Admission check BEFORE allocating the job ID: newJobLocked consumes
-	// s.nextID, so creating the job first burned one ID per 429 and left
-	// gaps in the sequence. Every send happens under s.mu and workers only
-	// drain, so a length check here guarantees the send below cannot block.
+	// Every send happens under s.mu and workers only drain, so a length
+	// check here guarantees the send below cannot block.
 	if len(s.queue) == cap(s.queue) {
 		s.mRejected.Inc("queue_full")
 		return nil, OutcomeQueueFull, nil
 	}
-	job := s.newJobLocked(key, cfg, reps, timeout)
+	job := s.newJob(key, cfg, reps, timeout)
 	job.traceRequested = req.Trace
-	job.state = StateQueued
+	s.jobs.add(job)
 	s.queue <- job
-	s.registerLocked(job)
 	if _, ok := s.byKey[key]; !ok {
 		s.byKey[key] = job
 	}
@@ -280,74 +253,29 @@ func (s *Server) Submit(req JobRequest) (*Job, Outcome, error) {
 	return job, OutcomeAccepted, nil
 }
 
-func (s *Server) newJobLocked(key string, cfg scenario.Config, reps int, timeout time.Duration) *Job {
-	s.nextID++
-	return &Job{
-		ID:        fmt.Sprintf("job-%d", s.nextID),
-		Key:       key,
-		cfg:       cfg,
-		reps:      reps,
-		timeout:   timeout,
-		submitted: time.Now().UTC(),
-	}
-}
-
-func (s *Server) registerLocked(job *Job) {
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-}
-
-// Job looks up a job by ID.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+// newJob builds a queued job, whose terminal hook drops it from the
+// coalescing index.
+func (s *Server) newJob(key string, cfg scenario.Config, reps int, timeout time.Duration) *Job {
+	job := &Job{cfg: cfg, reps: reps, timeout: timeout}
+	job.init(key, job.statusLocked, func(st State) {
+		s.mu.Lock()
+		if s.byKey[job.Key] == job {
+			delete(s.byKey, job.Key)
+		}
+		s.mu.Unlock()
+		s.jobs.done(st)
+	})
+	return job
 }
 
 // Statuses snapshots every job in submission order.
-func (s *Server) Statuses() []Status {
-	s.mu.Lock()
-	jobs := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	out := make([]Status, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.status()
-	}
-	return out
-}
+func (s *Server) Statuses() []Status { return views(&s.jobs, (*Job).status) }
 
-// Cancel requests cancellation of a job. A queued job is marked canceled
-// immediately (the worker skips it); a running job's context is canceled
-// and the simulation stops at its next cooperative check. Returns false
-// if the job is unknown or already terminal.
+// Cancel requests cancellation of a job (lifecycle.requestCancel);
+// false if the job is unknown or already terminal.
 func (s *Server) Cancel(id string) bool {
-	s.mu.Lock()
-	job, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	now := time.Now().UTC()
-	if job.tryTransition(StateQueued, StateCanceled, func(j *Job) {
-		j.err = "canceled before start"
-		j.finished = now
-	}) {
-		s.detachTerminal(job, StateCanceled)
-		return true
-	}
-	job.mu.Lock()
-	cancel := job.cancel
-	running := job.state == StateRunning
-	job.mu.Unlock()
-	if running && cancel != nil {
-		cancel(errCanceledByUser)
-		return true
-	}
-	return false
+	job, ok := s.jobs.get(id)
+	return ok && job.requestCancel()
 }
 
 // Draining reports whether Shutdown has begun.
@@ -399,14 +327,8 @@ func (s *Server) worker() {
 // execute runs one job under its deadline and publishes the outcome.
 func (s *Server) execute(job *Job) {
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	tctx, tcancel := context.WithTimeoutCause(ctx, job.timeout, context.DeadlineExceeded)
-	defer tcancel()
 	defer cancel(nil)
-
-	if !job.tryTransition(StateQueued, StateRunning, func(j *Job) {
-		j.started = time.Now().UTC()
-		j.cancel = cancel
-	}) {
+	if !job.start(cancel) {
 		return // canceled while queued; already terminal
 	}
 	// A traced job runs a private cfg copy with an NDJSON sink attached;
@@ -422,76 +344,48 @@ func (s *Server) execute(job *Job) {
 		// summary and the trace-events metric tick while the job runs.
 		cfg.Trace = trace.Multi{trace.NewWriter(traceBuf), s.traceTally(cfg.Scheme.String())}
 	}
-	s.mRunning.Inc()
-	start := time.Now()
-	agg, err := s.runFn(tctx, cfg, job.reps, s.opts.SimWorkers)
-	s.mRunSeconds.Observe(time.Since(start).Seconds())
-	s.mRunning.Dec()
-	s.mRuns.Inc(channelLabel(cfg), policyLabel(cfg))
-
-	// Persist the trace BEFORE classifying the outcome: a traced job that
+	body, err := s.compute(ctx, job.Key, cfg, job.reps, job.timeout, true)
+	// Persist the trace BEFORE the job turns terminal: a traced job that
 	// fails or hits its deadline is exactly the run its trace exists to
-	// debug, and dropping the partial artifact on the error path lost it.
+	// debug, so the partial artifact is kept on the error path too.
 	if traceBuf != nil {
 		job.mu.Lock()
 		job.traceData = traceBuf.Bytes()
 		job.traceCaptured = true
 		job.mu.Unlock()
 	}
-	if err != nil {
-		state, msg := classifyRunError(tctx, err)
-		s.finishJob(job, state, msg, nil)
-		return
-	}
-	body, err := MarshalResult(job.Key, job.reps, agg)
-	if err != nil {
-		s.finishJob(job, StateFailed, fmt.Sprintf("marshal result: %v", err), nil)
-		return
-	}
-	s.cache.Put(job.Key, body)
-	s.finishJob(job, StateDone, "", body)
+	job.finish(ctx, body, err)
 }
 
-// classifyRunError maps a simulation error to a terminal state: a client
-// cancel and a server shutdown are "canceled", an expired deadline and
-// everything else (validation, audit violations) are "failed".
-func classifyRunError(ctx context.Context, err error) (State, string) {
-	if errors.Is(err, scenario.ErrCanceled) {
-		cause := context.Cause(ctx)
-		switch {
-		case errors.Is(cause, errCanceledByUser):
-			return StateCanceled, "canceled by client"
-		case errors.Is(cause, errShutdown):
-			return StateCanceled, "server shutting down"
-		case errors.Is(cause, context.DeadlineExceeded):
-			return StateFailed, "job deadline exceeded"
+// compute is the one execution step of jobs and local sweep cells: run
+// cfg under its deadline, render the canonical result bytes and store
+// them in the result cache. A run the deadline stops returns errDeadline.
+// jobs_running and run_seconds count jobs only, so only a job sets asJob.
+func (s *Server) compute(ctx context.Context, key string, cfg scenario.Config, reps int, timeout time.Duration, asJob bool) ([]byte, error) {
+	tctx, cancel := context.WithTimeoutCause(ctx, timeout, context.DeadlineExceeded)
+	defer cancel()
+	// The policy label is the effective policy: "" resolves to the scheme
+	// default's name, matching the canonical encoding.
+	s.mRuns.Inc(channelLabel(cfg), cfg.EffectivePolicyName())
+	if asJob {
+		s.mRunning.Inc()
+	}
+	start := time.Now()
+	agg, err := s.runFn(tctx, cfg, reps, s.opts.SimWorkers)
+	if asJob {
+		s.mRunSeconds.Observe(time.Since(start).Seconds())
+		s.mRunning.Dec()
+	}
+	if err != nil {
+		if errors.Is(err, scenario.ErrCanceled) && errors.Is(context.Cause(tctx), context.DeadlineExceeded) {
+			return nil, errDeadline
 		}
-		return StateCanceled, cause.Error()
+		return nil, err
 	}
-	return StateFailed, err.Error()
-}
-
-// finishJob moves a job to a terminal state; a no-op if the job already
-// reached one (e.g. a cancel raced the finish).
-func (s *Server) finishJob(job *Job, state State, msg string, result []byte) {
-	if !job.setState(state, func(j *Job) {
-		j.err = msg
-		j.result = result
-		j.finished = time.Now().UTC()
-		j.cancel = nil
-	}) {
-		return
+	body, err := MarshalResult(key, reps, agg)
+	if err != nil {
+		return nil, fmt.Errorf("marshal result: %w", err)
 	}
-	s.detachTerminal(job, state)
-}
-
-// detachTerminal removes a now-terminal job from the coalescing index and
-// bumps the terminal-state counter.
-func (s *Server) detachTerminal(job *Job, state State) {
-	s.mu.Lock()
-	if s.byKey[job.Key] == job {
-		delete(s.byKey, job.Key)
-	}
-	s.mu.Unlock()
-	s.mJobsTerminal.Inc(string(state))
+	s.cache.Put(key, body)
+	return body, nil
 }

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"sync"
+	"math/big"
 	"time"
 
 	"rcast/internal/scenario"
@@ -160,6 +160,11 @@ func anySlice[T any](s []T) []any {
 	return out
 }
 
+// maxSweepCells caps the cells one sweep may expand to. A grid's cell
+// count is the product of its axis lengths, so a small body can name an
+// astronomically large grid; the cap refuses it before any cell is built.
+const maxSweepCells = 10_000
+
 // Cells expands the sweep into its cells, each validated and keyed by
 // scenario.CanonicalKey — the same content address the jobs API and
 // result cache use.
@@ -175,12 +180,15 @@ func (sr SweepRequest) Cells() ([]SweepCell, error) {
 	for _, k := range sweepKeys {
 		delete(base, k)
 	}
-	n := 1
+	n := big.NewInt(1)
 	for _, a := range axes {
-		n *= len(a.values)
+		n.Mul(n, big.NewInt(int64(len(a.values))))
 	}
-	cells := make([]SweepCell, 0, n)
-	for i := 0; i < n; i++ {
+	if n.Cmp(big.NewInt(maxSweepCells)) > 0 {
+		return nil, fmt.Errorf("serve: sweep expands to %s cells, more than the %d allowed", n, maxSweepCells)
+	}
+	cells := make([]SweepCell, 0, n.Int64())
+	for i := range int(n.Int64()) {
 		cell := maps.Clone(base)
 		for j, rem := len(axes)-1, i; j >= 0; j-- {
 			a := axes[j]
@@ -242,11 +250,16 @@ type CellStatus struct {
 	Worker string `json:"worker,omitempty"` // fleet worker URL that supplied the cell
 }
 
-// Sweep is one admitted sweep: an expanded grid executing as a unit. All
-// mutable state is guarded by mu.
+// sweepEventBuffer is a sweep subscriber's channel buffer: room for a
+// "cell" event per cell of a typical grid, so a briefly slow reader does
+// not miss completions.
+const sweepEventBuffer = 256
+
+// Sweep is one admitted sweep: the shared lifecycle plus an expanded grid
+// executing as a unit. cells, unique and timeout are set once at
+// admission; the cell states and counters are guarded by mu.
 type Sweep struct {
-	ID  string
-	Key string
+	lifecycle[SweepEvent]
 
 	cells []SweepCell
 	// unique groups the cells by canonical key, in first-appearance
@@ -256,23 +269,13 @@ type Sweep struct {
 	unique  [][]int
 	timeout time.Duration
 
-	mu        sync.Mutex
-	state     State
-	err       string
-	cacheHit  bool
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	// A resolved cell counts under exactly one source, so Completed is
+	// their sum.
 	cellStats []CellStatus
-	completed int
 	computed  int
 	localHits int
 	peerHits  int
 	retries   int
-	result    []byte
-	cancel    context.CancelCauseFunc
-	subs      map[int]chan SweepEvent
-	nextSub   int
 }
 
 // SweepStatus is the poll/SSE view of a sweep. CellStates is populated on
@@ -303,6 +306,12 @@ type SweepEvent struct {
 	Sweep SweepStatus `json:"sweep"`
 }
 
+// frame names the SSE frame by the event type; the terminal "sweep" event
+// is the last.
+func (ev SweepEvent) frame() (string, bool) {
+	return ev.Type, ev.Type == "sweep" && ev.Sweep.State.Terminal()
+}
+
 func (sw *Sweep) status() SweepStatus {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -315,7 +324,7 @@ func (sw *Sweep) statusLocked() SweepStatus {
 		State:       sw.state,
 		Key:         sw.Key,
 		Cells:       len(sw.cells),
-		Completed:   sw.completed,
+		Completed:   sw.computed + sw.localHits + sw.peerHits,
 		Computed:    sw.computed,
 		LocalHits:   sw.localHits,
 		PeerHits:    sw.peerHits,
@@ -337,79 +346,11 @@ func (sw *Sweep) detailStatus() SweepStatus {
 	return st
 }
 
-// State returns the sweep's lifecycle state.
-func (sw *Sweep) State() State {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state
-}
-
-// Result returns the aggregate result document (nil unless StateDone).
-func (sw *Sweep) Result() []byte {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.result
-}
-
-// broadcastLocked fans an event to subscribers; callers hold sw.mu.
-func (sw *Sweep) broadcastLocked(ev SweepEvent) {
-	for _, ch := range sw.subs {
-		select {
-		case ch <- ev:
-		default: // subscriber stalled; it resyncs from the next event
-		}
-	}
-}
-
-// subscribe registers an event listener primed with the current snapshot.
-func (sw *Sweep) subscribe() (<-chan SweepEvent, func()) {
-	ch := make(chan SweepEvent, 256)
-	sw.mu.Lock()
-	if sw.subs == nil {
-		sw.subs = make(map[int]chan SweepEvent)
-	}
-	id := sw.nextSub
-	sw.nextSub++
-	sw.subs[id] = ch
-	ch <- SweepEvent{Type: "sweep", Sweep: sw.statusLocked()}
-	sw.mu.Unlock()
-	return ch, func() {
-		sw.mu.Lock()
-		delete(sw.subs, id)
-		sw.mu.Unlock()
-	}
-}
-
 // cellRunning marks every cell of unique group u dispatched/executing.
 func (sw *Sweep) cellRunning(u int) {
 	sw.mu.Lock()
 	for _, i := range sw.unique[u] {
 		sw.cellStats[i].State = StateRunning
-	}
-	sw.mu.Unlock()
-}
-
-// cellDone records every cell of unique group u as completed, with the
-// source and the worker that supplied it, broadcasting one "cell" event
-// per cell.
-func (sw *Sweep) cellDone(u int, source, worker string) {
-	sw.mu.Lock()
-	for _, i := range sw.unique[u] {
-		cs := &sw.cellStats[i]
-		cs.State = StateDone
-		cs.Source = source
-		cs.Worker = worker
-		sw.completed++
-		switch source {
-		case CellSourceComputed:
-			sw.computed++
-		case CellSourceCache:
-			sw.localHits++
-		case CellSourcePeerCache:
-			sw.peerHits++
-		}
-		snap := *cs
-		sw.broadcastLocked(SweepEvent{Type: "cell", Cell: &snap, Sweep: sw.statusLocked()})
 	}
 	sw.mu.Unlock()
 }
@@ -425,28 +366,29 @@ func (sw *Sweep) cellRetried(u int) {
 	sw.mu.Unlock()
 }
 
-// resolved records unique group u of sw as done and counts each of its
-// cells on the fleet-cells metric.
+// resolved records every cell of unique group u of sw as done, with the
+// source and the worker that supplied it: each is counted on the
+// fleet-cells metric and broadcast as one "cell" event.
 func (s *Server) resolved(sw *Sweep, u int, source, worker string) {
 	s.mFleetCells.Add(int64(len(sw.unique[u])), source)
-	sw.cellDone(u, source, worker)
-}
-
-// setState transitions the sweep, refusing to leave a terminal state, and
-// broadcasts a "sweep" event. Reports whether the transition happened.
-func (sw *Sweep) setState(st State, apply func(*Sweep)) bool {
 	sw.mu.Lock()
-	if sw.state.Terminal() {
-		sw.mu.Unlock()
-		return false
+	defer sw.mu.Unlock()
+	for _, i := range sw.unique[u] {
+		cs := &sw.cellStats[i]
+		cs.State = StateDone
+		cs.Source = source
+		cs.Worker = worker
+		switch source {
+		case CellSourceComputed:
+			sw.computed++
+		case CellSourceCache:
+			sw.localHits++
+		case CellSourcePeerCache:
+			sw.peerHits++
+		}
+		snap := *cs
+		sw.broadcastLocked(SweepEvent{Type: "cell", Cell: &snap, Sweep: sw.statusLocked()})
 	}
-	sw.state = st
-	if apply != nil {
-		apply(sw)
-	}
-	sw.broadcastLocked(SweepEvent{Type: "sweep", Sweep: sw.statusLocked()})
-	sw.mu.Unlock()
-	return true
 }
 
 // SweepResult is the aggregate document of GET /api/v1/sweeps/{id}/result:
@@ -500,7 +442,7 @@ func (s *Server) SubmitSweep(req SweepRequest) (*Sweep, Outcome, error) {
 		return nil, OutcomeInvalid, err
 	}
 	key := SweepKey(cells)
-	timeout := req.jobTimeout(s.opts)
+	timeout := JobRequest{TimeoutSec: req.TimeoutSec}.Timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -511,46 +453,28 @@ func (s *Server) SubmitSweep(req SweepRequest) (*Sweep, Outcome, error) {
 	// Whole-sweep memoization: an identical grid resubmission is served
 	// from the result cache without touching a single cell.
 	if cached, ok := s.cache.Get(sweepCacheKey(key)); ok {
-		sw := s.newSweepLocked(key, cells, timeout)
-		sw.state = StateDone
-		sw.cacheHit = true
-		sw.result = cached
-		sw.finished = sw.submitted
+		sw := s.newSweep(key, cells, timeout)
+		sw.servedFromCache(cached)
 		for i := range sw.cellStats {
 			sw.cellStats[i].State = StateDone
 			sw.cellStats[i].Source = CellSourceCache
 		}
-		sw.completed = len(cells)
 		sw.localHits = len(cells)
-		s.registerSweepLocked(sw)
+		s.sweeps.add(sw)
 		s.mSweepsSubmitted.Inc()
 		s.mCacheHits.Inc()
-		s.mSweepsTerminal.Inc(string(StateDone))
 		return sw, OutcomeCacheHit, nil
 	}
-	running := 0
-	for _, id := range s.sweepOrder {
-		if !s.sweeps[id].State().Terminal() {
-			running++
-		}
-	}
-	if running >= s.opts.QueueDepth {
+	if s.sweeps.live() >= s.opts.QueueDepth {
 		s.mRejected.Inc("queue_full")
 		return nil, OutcomeQueueFull, nil
 	}
-	sw := s.newSweepLocked(key, cells, timeout)
-	sw.state = StateQueued
-	s.registerSweepLocked(sw)
+	sw := s.newSweep(key, cells, timeout)
+	s.sweeps.add(sw)
 	s.mSweepsSubmitted.Inc()
 	s.wg.Add(1)
 	go s.runSweep(sw)
 	return sw, OutcomeAccepted, nil
-}
-
-// jobTimeout resolves the per-cell deadline like JobRequest.Timeout.
-func (sr SweepRequest) jobTimeout(opts Options) time.Duration {
-	jr := JobRequest{TimeoutSec: sr.TimeoutSec}
-	return jr.Timeout(opts.DefaultTimeout, opts.MaxTimeout)
 }
 
 // sweepCacheKey namespaces sweep documents inside the shared result
@@ -558,16 +482,12 @@ func (sr SweepRequest) jobTimeout(opts Options) time.Duration {
 // keeps the two address spaces disjoint.
 func sweepCacheKey(key string) string { return "sweep:" + key }
 
-func (s *Server) newSweepLocked(key string, cells []SweepCell, timeout time.Duration) *Sweep {
-	s.nextSweepID++
-	sw := &Sweep{
-		ID:        fmt.Sprintf("sweep-%d", s.nextSweepID),
-		Key:       key,
-		cells:     cells,
-		timeout:   timeout,
-		submitted: time.Now().UTC(),
-		cellStats: make([]CellStatus, len(cells)),
-	}
+// newSweep builds a queued sweep.
+func (s *Server) newSweep(key string, cells []SweepCell, timeout time.Duration) *Sweep {
+	sw := &Sweep{cells: cells, timeout: timeout, cellStats: make([]CellStatus, len(cells))}
+	sw.init(key, func() SweepEvent {
+		return SweepEvent{Type: "sweep", Sweep: sw.statusLocked()}
+	}, s.sweeps.done)
 	group := make(map[string]int)
 	for i, c := range cells {
 		sw.cellStats[i] = CellStatus{Index: i, Key: c.Key, State: StateQueued}
@@ -582,52 +502,14 @@ func (s *Server) newSweepLocked(key string, cells []SweepCell, timeout time.Dura
 	return sw
 }
 
-func (s *Server) registerSweepLocked(sw *Sweep) {
-	s.sweeps[sw.ID] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.ID)
-}
-
-// Sweep looks up a sweep by ID.
-func (s *Server) Sweep(id string) (*Sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return sw, ok
-}
-
 // SweepStatuses snapshots every sweep in submission order.
-func (s *Server) SweepStatuses() []SweepStatus {
-	s.mu.Lock()
-	sweeps := make([]*Sweep, len(s.sweepOrder))
-	for i, id := range s.sweepOrder {
-		sweeps[i] = s.sweeps[id]
-	}
-	s.mu.Unlock()
-	out := make([]SweepStatus, len(sweeps))
-	for i, sw := range sweeps {
-		out[i] = sw.status()
-	}
-	return out
-}
+func (s *Server) SweepStatuses() []SweepStatus { return views(&s.sweeps, (*Sweep).status) }
 
-// CancelSweep requests cancellation of a running sweep. Returns false if
-// the sweep is unknown or already terminal.
+// CancelSweep requests cancellation of a sweep (lifecycle.requestCancel);
+// false if the sweep is unknown or already terminal.
 func (s *Server) CancelSweep(id string) bool {
-	s.mu.Lock()
-	sw, ok := s.sweeps[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	sw.mu.Lock()
-	cancel := sw.cancel
-	terminal := sw.state.Terminal()
-	sw.mu.Unlock()
-	if terminal || cancel == nil {
-		return false
-	}
-	cancel(errCanceledByUser)
-	return true
+	sw, ok := s.sweeps.get(id)
+	return ok && sw.requestCancel()
 }
 
 // runSweep drives one sweep to a terminal state on its own goroutine.
@@ -635,63 +517,27 @@ func (s *Server) runSweep(sw *Sweep) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	defer cancel(nil)
-	if !sw.setState(StateRunning, func(sw *Sweep) {
-		sw.started = time.Now().UTC()
-		sw.cancel = cancel
-	}) {
-		return
+	if !sw.start(cancel) {
+		return // canceled while queued; already terminal
 	}
 	s.mSweepsRunning.Inc()
 	unique, err := s.sweepExec.runSweep(ctx, sw)
 	s.mSweepsRunning.Dec()
-	if err != nil {
-		state, msg := classifySweepError(ctx, err)
-		s.finishSweep(sw, state, msg, nil)
-		return
-	}
-	results := make([][]byte, len(sw.cells))
-	for u, idxs := range sw.unique {
-		for _, i := range idxs {
-			results[i] = unique[u]
+	var body []byte
+	if err == nil {
+		results := make([][]byte, len(sw.cells))
+		for u, idxs := range sw.unique {
+			for _, i := range idxs {
+				results[i] = unique[u]
+			}
+		}
+		if body, err = MarshalSweepResult(sw.Key, sw.cells, results); err != nil {
+			err = fmt.Errorf("marshal sweep result: %w", err)
+		} else {
+			s.cache.Put(sweepCacheKey(sw.Key), body)
 		}
 	}
-	body, err := MarshalSweepResult(sw.Key, sw.cells, results)
-	if err != nil {
-		s.finishSweep(sw, StateFailed, fmt.Sprintf("marshal sweep result: %v", err), nil)
-		return
-	}
-	s.cache.Put(sweepCacheKey(sw.Key), body)
-	s.finishSweep(sw, StateDone, "", body)
-}
-
-// classifySweepError maps an executor error to a terminal state, mirroring
-// classifyRunError's cancel/shutdown/deadline distinctions.
-func classifySweepError(ctx context.Context, err error) (State, string) {
-	if errors.Is(err, scenario.ErrCanceled) || errors.Is(err, context.Canceled) {
-		cause := context.Cause(ctx)
-		switch {
-		case errors.Is(cause, errCanceledByUser):
-			return StateCanceled, "canceled by client"
-		case errors.Is(cause, errShutdown):
-			return StateCanceled, "server shutting down"
-		case cause != nil && !errors.Is(cause, context.Canceled):
-			return StateCanceled, cause.Error()
-		}
-		return StateCanceled, err.Error()
-	}
-	return StateFailed, err.Error()
-}
-
-func (s *Server) finishSweep(sw *Sweep, state State, msg string, result []byte) {
-	if !sw.setState(state, func(sw *Sweep) {
-		sw.err = msg
-		sw.result = result
-		sw.finished = time.Now().UTC()
-		sw.cancel = nil
-	}) {
-		return
-	}
-	s.mSweepsTerminal.Inc(string(state))
+	sw.finish(ctx, body, err)
 }
 
 // localSweepExecutor computes cells on this process: result cache first,
@@ -723,33 +569,23 @@ func (l localSweepExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, 
 	return results, nil
 }
 
-// execCell resolves one cell: result cache first, then a real engine run
-// under the sweep's per-cell deadline. The returned bytes are exactly
-// what the jobs API would serve for the same canonical key.
+// execCell resolves one cell: result cache first, then compute under
+// the sweep's per-cell deadline. The returned bytes are exactly what the
+// jobs API would serve for the same canonical key.
 func (l localSweepExecutor) execCell(ctx context.Context, sw *Sweep, c *SweepCell) ([]byte, string, error) {
-	s := l.s
-	if cached, ok := s.cache.Get(c.Key); ok {
+	if cached, ok := l.s.cache.Get(c.Key); ok {
 		return cached, CellSourceCache, nil
 	}
-	tctx, tcancel := context.WithTimeoutCause(ctx, sw.timeout, context.DeadlineExceeded)
-	defer tcancel()
-	s.mRuns.Inc(channelLabel(c.cfg), policyLabel(c.cfg))
-	agg, err := s.runFn(tctx, c.cfg, c.reps, s.opts.SimWorkers)
-	if err != nil {
-		if errors.Is(err, scenario.ErrCanceled) {
-			if errors.Is(context.Cause(tctx), context.DeadlineExceeded) {
-				return nil, "", fmt.Errorf("cell %d (%s): cell deadline exceeded", c.Index, c.Key)
-			}
-			// Plain cancellation: surface it untouched so the sweep-level
-			// cause (user cancel vs shutdown) decides the terminal message.
-			return nil, "", err
-		}
+	body, err := l.s.compute(ctx, c.Key, c.cfg, c.reps, sw.timeout, false)
+	switch {
+	case errors.Is(err, errDeadline):
+		return nil, "", fmt.Errorf("cell %d (%s): cell deadline exceeded", c.Index, c.Key)
+	case errors.Is(err, scenario.ErrCanceled):
+		// Plain cancellation: surface it untouched so the sweep-level
+		// cause (user cancel vs shutdown) decides the terminal message.
+		return nil, "", err
+	case err != nil:
 		return nil, "", fmt.Errorf("cell %d (%s): %w", c.Index, c.Key, err)
 	}
-	body, err := MarshalResult(c.Key, c.reps, agg)
-	if err != nil {
-		return nil, "", fmt.Errorf("cell %d (%s): marshal result: %w", c.Index, c.Key, err)
-	}
-	s.cache.Put(c.Key, body)
 	return body, CellSourceComputed, nil
 }

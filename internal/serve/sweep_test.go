@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -472,4 +475,145 @@ func readAll(t *testing.T, resp *http.Response) string {
 		t.Fatalf("read body: %v", err)
 	}
 	return sb.String()
+}
+
+// TestCancelQueuedSweep: a sweep in its queued window (admitted, its
+// goroutine not yet running) follows the queued-job rule. Cancel moves it
+// Queued→Canceled on the spot, it is counted once on the terminal-state
+// metric, and runSweep then does nothing.
+func TestCancelQueuedSweep(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	defer shutdownServer(t, s)
+	var runs atomic.Int64
+	base := s.runFn
+	s.runFn = func(ctx context.Context, cfg scenario.Config, reps, workers int) (*scenario.Aggregate, error) {
+		runs.Add(1)
+		return base(ctx, cfg, reps, workers)
+	}
+	cells, err := quickSweep().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := s.newSweep(SweepKey(cells), cells, time.Minute)
+	s.sweeps.add(sw)
+
+	if !s.CancelSweep(sw.ID) {
+		t.Fatal("cancel of a queued sweep refused")
+	}
+	if st := sw.status(); st.State != StateCanceled || st.Error != "canceled before start" {
+		t.Fatalf("queued sweep after cancel: %s %q", st.State, st.Error)
+	}
+	s.wg.Add(1)
+	s.runSweep(sw) // what the admission goroutine runs once scheduled
+	if st := sw.status(); st.State != StateCanceled || !st.StartedAt.IsZero() {
+		t.Fatalf("runSweep revived a canceled sweep: %+v", st)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("engine ran %d times for a sweep canceled while queued", n)
+	}
+	if got := s.sweeps.states.Value(string(StateCanceled)); got != 1 {
+		t.Fatalf("sweeps_total{canceled} = %d, want 1", got)
+	}
+	if s.CancelSweep(sw.ID) {
+		t.Fatal("second cancel of a terminal sweep succeeded")
+	}
+	// The canceled sweep no longer holds the single intake slot.
+	if _, out, err := s.SubmitSweep(quickSweep()); out != OutcomeAccepted {
+		t.Fatalf("submit after queued cancel: out=%v err=%v", out, err)
+	}
+}
+
+// TestSweepOversizedGridRefused: a 16 KB body of seven 600-value axes
+// names 600^7 cells, more than an int holds. Expansion must refuse it
+// (400 over HTTP) instead of panicking in make, and a grid just above the
+// ceiling is refused with its exact count.
+func TestSweepOversizedGridRefused(t *testing.T) {
+	vals := make([]string, 600)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i + 1)
+	}
+	axis := "[" + strings.Join(vals, ",") + "]"
+	var axes []string
+	for _, k := range []string{"seed", "nodes", "connections", "packet_rate", "duration_sec", "field_w", "field_h"} {
+		axes = append(axes, fmt.Sprintf("%q:%s", k, axis))
+	}
+	body := `{"schemes":["Rcast"],"axes":{` + strings.Join(axes, ",") + `}}`
+	req, err := ParseSweepRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count = "27993600000000000000" // 600^7
+	if _, err := req.Cells(); err == nil || !strings.Contains(err.Error(), count+" cells") {
+		t.Fatalf("Cells() of a 600^7 grid: err = %v, want the count %s", err, count)
+	}
+
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, count) {
+		t.Fatalf("POST of a 600^7 grid = %d %q, want 400 with the count", resp.StatusCode, got)
+	}
+
+	over := quickSweep()
+	over.Schemes = []string{"Rcast"}
+	over.PausesSec = nil
+	seeds := make([]any, 101)
+	for i := range seeds {
+		seeds[i] = i
+	}
+	over.Axes = map[string][]any{"seed": seeds, "nodes": seeds[1:]}
+	if _, out, err := s.SubmitSweep(over); out != OutcomeInvalid || err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%d cells", 101*100)) {
+		t.Fatalf("101x100 grid: out=%v err=%v, want OutcomeInvalid with the count", out, err)
+	}
+}
+
+// TestConcurrentSweepSubmitCancel races sweep submissions, cache hits and
+// cancels (some landing in the queued window) and checks the registry's
+// accounting: every sweep ends terminal, none stays in flight, and each
+// is counted exactly once on the terminal-state metric.
+func TestConcurrentSweepSubmitCancel(t *testing.T) {
+	s := New(Options{Workers: 2, QueueDepth: 64})
+	defer shutdownServer(t, s)
+
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := quickSweep()
+			req.Schemes = []string{"Rcast"}
+			req.Seed = ptr(int64(i % 3)) // duplicates → whole-sweep cache hits
+			sw, out, err := s.SubmitSweep(req)
+			if out != OutcomeAccepted && out != OutcomeCacheHit {
+				t.Errorf("submit %d: out=%v err=%v", i, out, err)
+				return
+			}
+			if i%2 == 0 {
+				s.CancelSweep(sw.ID) // racing cancel; any outcome is legal
+			}
+		}(i)
+	}
+	wg.Wait()
+	var total int64
+	for _, st := range s.SweepStatuses() {
+		sw, _ := s.sweeps.get(st.ID)
+		waitSweepTerminal(t, sw)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.sweeps.live() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sweeps still in flight after all turned terminal", s.sweeps.live())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, st := range []State{StateDone, StateFailed, StateCanceled} {
+		total += s.sweeps.states.Value(string(st))
+	}
+	if total != n {
+		t.Fatalf("terminal-state metric counts %d sweeps, want %d", total, n)
+	}
 }
