@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
 # over the MAC, route-cache, scheduler-wheel, RNG-stream, trace-reader,
-# propagation-grid, reach-list, fading-verdict and config-decoder targets,
-# the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
+# propagation-grid, reach-list, fading-verdict, config-decoder and
+# rcast-serve job/sweep request-decoder targets, a vet and smoke test of
+# the separate bench module, the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
 # 100-node route-learning cell, the 100-node mobile paper cell, that
 # cell's world set-up and a 40-node shadowing cell), a benchmark smoke
 # run, a tracediff smoke (audit inert / seeds diverge), the golden-trace
@@ -39,6 +40,13 @@ go test -run '^$' -fuzz 'FuzzReachLists' -fuzztime 10s ./internal/phy
 go test -run '^$' -fuzz 'FuzzStillIntervals' -fuzztime 10s ./internal/mobility
 go test -run '^$' -fuzz 'FuzzFadingVerdict' -fuzztime 10s ./internal/propagation
 go test -run '^$' -fuzz 'FuzzDecodeConfig' -fuzztime 10s ./internal/scenario
+go test -run '^$' -fuzz 'FuzzJobRequest' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz 'FuzzSweepRequest' -fuzztime 10s ./internal/serve
+
+echo "== bench module =="
+# bench/ is its own module (replace rcast => ../), so the root module's
+# build and tests skip it; it compiles against the serve types.
+(cd bench && go vet . && go test ./...)
 
 echo "== coverage gate =="
 go run ./tools/covergate
