@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
@@ -53,22 +52,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxDiscoveryAttempts bounds MaxDiscoveryAttempts: the RREP wait
-// doubles per attempt, and past this many doublings it overflows.
-const maxDiscoveryAttempts = 32
+// discovery returns the knobs the shared discovery core reads.
+func (c Config) discovery() routing.Discovery {
+	return routing.Discovery{
+		NonPropagatingFirst: c.NonPropagatingFirst,
+		Timeout:             c.DiscoveryTimeout,
+		MaxAttempts:         c.MaxDiscoveryAttempts,
+		BufferCap:           c.SendBufferCap,
+		Jitter:              c.RebroadcastJitter,
+	}
+}
 
 // Validate reports settings the router cannot run with. Zero fields keep
 // the defaults New fills in; negative values are rejected.
 func (c Config) Validate() error {
-	switch {
-	case c.SendBufferCap < 0:
-		return errors.New("aodv: send buffer capacity must be >= 0")
-	case c.MaxDiscoveryAttempts < 0 || c.MaxDiscoveryAttempts > maxDiscoveryAttempts:
-		return fmt.Errorf("aodv: max discovery attempts must be in [0, %d]", maxDiscoveryAttempts)
-	case c.ActiveRouteTimeout < 0 || c.DiscoveryTimeout < 0 || c.HelloInterval < 0:
-		return errors.New("aodv: route timeout, discovery timeout and hello interval must be >= 0")
-	case c.RebroadcastJitter < 0 || c.RebroadcastJitter == sim.MaxTime:
-		return errors.New("aodv: rebroadcast jitter must be in [0, MaxTime)")
+	if c.ActiveRouteTimeout < 0 || c.HelloInterval < 0 {
+		return errors.New("aodv: route timeout and hello interval must be >= 0")
+	}
+	if err := c.discovery().Validate(); err != nil {
+		return fmt.Errorf("aodv: %w", err)
 	}
 	return nil
 }
@@ -86,101 +88,58 @@ type Stats struct {
 	Expirations  uint64 // discoveries forced by expired routes
 }
 
-// Router is one node's AODV instance.
+// Router is one node's AODV instance. The embedded core owns the send
+// buffer, the discovery loop, RREQ dedup and the crash reset.
 type Router struct {
+	routing.OnDemand[*DataPacket]
+
 	id    phy.NodeID
 	sched *sim.Scheduler
-	rng   *rand.Rand
 	tr    routing.Transport
 	cfg   Config
 	table *Table
 	hooks routing.Hooks
 
-	seq        uint64 // own sequence number
-	nextRREQID uint64
-	nextPktSeq uint64
-	helloSeq   uint64
+	seq      uint64 // own sequence number
+	helloSeq uint64
 
-	seenRREQ    map[rreqKey]struct{}
-	buf         map[phy.NodeID][]*DataPacket
-	discoveries map[phy.NodeID]*discovery
-	helloTimer  sim.Timer
-	stopped     bool
-	down        bool // fault-injected crash: reversible via Restart
+	helloTimer sim.Timer
+	stopped    bool
 
 	stats Stats
 }
 
 var _ routing.Router = (*Router)(nil)
 
-type rreqKey struct {
-	origin phy.NodeID
-	id     uint64
-}
-
-type discovery struct {
-	attempts int
-	timer    sim.Timer
-}
-
 // New creates an AODV router and starts its hello schedule (if enabled).
 func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr routing.Transport, cfg Config, hooks routing.Hooks) *Router {
 	if cfg.ActiveRouteTimeout <= 0 {
 		cfg.ActiveRouteTimeout = 3 * sim.Second
 	}
-	if cfg.DiscoveryTimeout <= 0 {
-		cfg.DiscoveryTimeout = sim.Second
-	}
-	if cfg.MaxDiscoveryAttempts <= 0 {
-		cfg.MaxDiscoveryAttempts = 6
-	}
-	if cfg.SendBufferCap <= 0 {
-		cfg.SendBufferCap = 64
-	}
 	r := &Router{
-		id:          id,
-		sched:       sched,
-		rng:         rng,
-		tr:          tr,
-		cfg:         cfg,
-		table:       NewTable(id),
-		hooks:       hooks,
-		seenRREQ:    make(map[rreqKey]struct{}),
-		buf:         make(map[phy.NodeID][]*DataPacket),
-		discoveries: make(map[phy.NodeID]*discovery),
+		id:    id,
+		sched: sched,
+		tr:    tr,
+		cfg:   cfg,
+		table: NewTable(id),
+		hooks: hooks,
 	}
+	r.OnDemand = routing.NewOnDemand[*DataPacket](id, sched, rng, tr, hooks, cfg.discovery(), r.newRREQ)
 	if cfg.HelloInterval > 0 {
 		r.scheduleHello()
 	}
 	return r
 }
 
-// ID returns the owning node's ID.
-func (r *Router) ID() phy.NodeID { return r.id }
-
 // Table exposes the routing table for metrics and tests.
 func (r *Router) Table() *Table { return r.table }
 
-// BufferedData returns the data packets currently parked awaiting route
-// discovery, ordered by destination then insertion. The audit layer
-// enumerates still-buffered traffic with it at teardown.
-func (r *Router) BufferedData() []*routing.Data {
-	dsts := make([]phy.NodeID, 0, len(r.buf))
-	for dst := range r.buf {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	var out []*routing.Data
-	for _, dst := range dsts {
-		for _, pkt := range r.buf[dst] {
-			out = append(out, &pkt.Data)
-		}
-	}
-	return out
-}
-
 // Stats returns a copy of the router counters.
-func (r *Router) Stats() Stats { return r.stats }
+func (r *Router) Stats() Stats {
+	s, c := r.stats, r.Counts()
+	s.RREQSent, s.Delivered, s.Dropped = c.RREQSent, c.Delivered, c.Dropped
+	return s
+}
 
 // Stop halts periodic activity (hellos).
 func (r *Router) Stop() {
@@ -188,42 +147,25 @@ func (r *Router) Stop() {
 	r.helloTimer.Cancel()
 }
 
-// Crash wipes the router for a fault-injected node crash: hellos stop,
-// discovery timers are cancelled, and the send buffer, RREQ dedup state
-// and routing table are cleared. The buffered data packets are returned
-// (destination order, as BufferedData) WITHOUT passing through the drop
-// hook — the fault layer reconciles them as a terminal class of their own.
-// Stats and sequence counters survive (the latter so recycled packets
-// never reuse a PacketKey).
+// Crash wipes the router for a fault-injected node crash: besides what the
+// core resets, hellos stop and the routing table is cleared. Stats and
+// sequence counters survive.
 func (r *Router) Crash() []*routing.Data {
-	if r.down {
+	if r.Down() {
 		return nil
 	}
-	r.down = true
-	flushed := r.BufferedData()
 	r.Stop()
-	dsts := make([]phy.NodeID, 0, len(r.discoveries))
-	for dst := range r.discoveries {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		r.discoveries[dst].timer.Cancel()
-		delete(r.discoveries, dst)
-	}
-	clear(r.buf)
-	clear(r.seenRREQ)
 	r.table = NewTable(r.id)
-	return flushed
+	return r.OnDemand.Crash()
 }
 
 // Restart brings a crashed router back up with empty state and resumes the
 // hello schedule.
 func (r *Router) Restart() {
-	if !r.down {
+	if !r.Down() {
 		return
 	}
-	r.down = false
+	r.OnDemand.Restart()
 	r.stopped = false
 	if r.cfg.HelloInterval > 0 {
 		r.scheduleHello()
@@ -232,27 +174,13 @@ func (r *Router) Restart() {
 
 // SendData originates an application packet to dst.
 func (r *Router) SendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
-	if r.down {
+	if r.Down() {
 		return
 	}
-	now := r.sched.Now()
-	r.nextPktSeq++
-	pkt := &DataPacket{Data: routing.Data{
-		FlowID:       flowID,
-		Seq:          r.nextPktSeq,
-		Src:          r.id,
-		Dst:          dst,
-		PayloadBytes: payloadBytes,
-		OriginatedAt: now,
-	}}
-	if r.hooks.DataOriginated != nil {
-		r.hooks.DataOriginated(&pkt.Data)
+	pkt := &DataPacket{}
+	if r.Originate(pkt, dst, flowID, payloadBytes) {
+		r.forwardOrDiscover(pkt)
 	}
-	if dst == r.id {
-		r.deliver(pkt, r.id, 0)
-		return
-	}
-	r.forwardOrDiscover(pkt)
 }
 
 // forwardOrDiscover sends pkt to the next hop, or buffers it and starts a
@@ -261,13 +189,7 @@ func (r *Router) forwardOrDiscover(pkt *DataPacket) {
 	now := r.sched.Now()
 	route := r.table.Lookup(now, pkt.Dst)
 	if route == nil {
-		q := r.buf[pkt.Dst]
-		if len(q) >= r.cfg.SendBufferCap {
-			r.drop(q[0], "buffer-overflow")
-			q = q[1:]
-		}
-		r.buf[pkt.Dst] = append(q, pkt)
-		r.startDiscovery(pkt.Dst)
+		r.Park(pkt)
 		return
 	}
 	r.table.Refresh(now, pkt.Dst, r.cfg.ActiveRouteTimeout)
@@ -297,80 +219,29 @@ func (r *Router) handleLinkFailure(pkt *DataPacket, nh phy.NodeID) {
 		r.forwardOrDiscover(pkt)
 		return
 	}
-	r.drop(pkt, "link-failure")
-}
-
-func (r *Router) deliver(pkt *DataPacket, from phy.NodeID, hops int) {
-	r.stats.Delivered++
-	if r.hooks.DataActivity != nil {
-		r.hooks.DataActivity()
-	}
-	if r.hooks.DataDelivered != nil {
-		r.hooks.DataDelivered(&pkt.Data, from, hops)
-	}
-}
-
-func (r *Router) drop(pkt *DataPacket, reason string) {
-	r.stats.Dropped++
-	if r.hooks.DataDropped != nil {
-		r.hooks.DataDropped(&pkt.Data, reason)
-	}
+	r.Drop(&pkt.Data, "link-failure")
 }
 
 // --- discovery ---
 
-func (r *Router) startDiscovery(dst phy.NodeID) {
-	if _, running := r.discoveries[dst]; running {
-		return
-	}
-	d := &discovery{}
-	r.discoveries[dst] = d
-	r.issueRREQ(dst, d)
-}
-
-func (r *Router) issueRREQ(dst phy.NodeID, d *discovery) {
-	d.attempts++
-	if d.attempts > r.cfg.MaxDiscoveryAttempts {
-		delete(r.discoveries, dst)
-		for _, pkt := range r.buf[dst] {
-			r.drop(pkt, "no-route")
-		}
-		delete(r.buf, dst)
-		return
-	}
-	hopLimit := 255
-	if r.cfg.NonPropagatingFirst && d.attempts == 1 {
-		hopLimit = 1
-	}
-	r.seq++ // RFC: increment own seq before a discovery
-	r.nextRREQID++
-	req := &RouteRequest{
-		ID:        r.nextRREQID,
+// newRREQ builds the request of one discovery attempt for dst; the
+// origin bumps its own sequence number first (RFC 3561 §6.3).
+func (r *Router) newRREQ(dst phy.NodeID, id uint64, hopLimit int) routing.Message {
+	r.seq++
+	return &RouteRequest{
+		ID:        id,
 		Origin:    r.id,
 		OriginSeq: r.seq,
 		Target:    dst,
 		TargetSeq: r.table.LastKnownSeq(dst),
 		HopLimit:  hopLimit,
 	}
-	r.seenRREQ[rreqKey{origin: r.id, id: req.ID}] = struct{}{}
-	r.stats.RREQSent++
-	r.control(core.ClassRREQ)
-	r.tr.Send(phy.Broadcast, req, nil)
-
-	timeout := r.cfg.DiscoveryTimeout << uint(d.attempts-1)
-	d.timer = r.sched.After(timeout, func() { r.issueRREQ(dst, d) })
 }
 
 // routeEstablished flushes buffered traffic when a route to dst appears.
 func (r *Router) routeEstablished(dst phy.NodeID) {
-	if d, running := r.discoveries[dst]; running {
-		d.timer.Cancel()
-		delete(r.discoveries, dst)
-	}
-	q := r.buf[dst]
-	delete(r.buf, dst)
-	for _, pkt := range q {
-		r.forwardOrDiscover(pkt)
+	for _, e := range r.RouteFound(dst) {
+		r.forwardOrDiscover(e.Pkt)
 	}
 }
 
@@ -378,20 +249,14 @@ func (r *Router) routeEstablished(dst phy.NodeID) {
 
 func (r *Router) sendRREP(to phy.NodeID, rep *RouteReply) {
 	r.stats.RREPSent++
-	r.control(core.ClassRREP)
+	r.Control(core.ClassRREP)
 	r.tr.Send(to, rep, nil)
 }
 
 func (r *Router) sendRERR(rerr *RouteError) {
 	r.stats.RERRSent++
-	r.control(core.ClassRERR)
+	r.Control(core.ClassRERR)
 	r.tr.Send(phy.Broadcast, rerr, nil)
-}
-
-func (r *Router) control(c core.Class) {
-	if r.hooks.ControlSent != nil {
-		r.hooks.ControlSent(c)
-	}
 }
 
 // --- hello schedule ---
@@ -406,7 +271,7 @@ func (r *Router) scheduleHello() {
 			r.helloSeq++
 			r.seq++
 			r.stats.HelloSent++
-			r.control(core.ClassRREP) // hellos are unsolicited RREPs
+			r.Control(core.ClassRREP) // hellos are unsolicited RREPs
 			r.tr.Send(phy.Broadcast, &Hello{From: r.id, Seq: r.seq}, nil)
 		}
 		r.scheduleHello()
@@ -440,13 +305,13 @@ func (r *Router) onData(from phy.NodeID, pkt *DataPacket) {
 	// Seeing traffic from `from` refreshes the neighbor route.
 	r.table.Update(now, from, from, 1, r.table.LastKnownSeq(from), r.cfg.ActiveRouteTimeout)
 	if pkt.Dst == r.id {
-		r.deliver(pkt, from, pkt.HopsTaken+1)
+		r.Deliver(&pkt.Data, from, pkt.HopsTaken+1)
 		return
 	}
 	fwd := *pkt
 	fwd.HopsTaken = pkt.HopsTaken + 1
 	if fwd.HopsTaken > 32 {
-		r.drop(&fwd, "ttl-exceeded")
+		r.Drop(&fwd.Data, "ttl-exceeded")
 		return
 	}
 	if r.hooks.DataForwarded != nil {
@@ -461,12 +326,10 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 	if req.Origin == r.id {
 		return
 	}
-	now := r.sched.Now()
-	key := rreqKey{origin: req.Origin, id: req.ID}
-	if _, dup := r.seenRREQ[key]; dup {
+	if !r.FirstSight(req.Origin, req.ID) {
 		return
 	}
-	r.seenRREQ[key] = struct{}{}
+	now := r.sched.Now()
 
 	hops := req.HopCount + 1
 	// Install/refresh the reverse route to the origin through `from`.
@@ -512,18 +375,7 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 	fwd := *req
 	fwd.HopCount = hops
 	fwd.HopLimit = req.HopLimit - 1
-	jitter := sim.Time(0)
-	if r.cfg.RebroadcastJitter > 0 {
-		jitter = sim.Time(r.rng.Int63n(int64(r.cfg.RebroadcastJitter) + 1))
-	}
-	r.sched.After(jitter, func() {
-		if r.down {
-			return // crashed while the rebroadcast sat in its jitter window
-		}
-		r.stats.RREQSent++
-		r.control(core.ClassRREQ)
-		r.tr.Send(phy.Broadcast, &fwd, nil)
-	})
+	r.Rebroadcast(&fwd)
 }
 
 func (r *Router) onRREP(from phy.NodeID, rep *RouteReply) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"rcast/internal/core"
 	"rcast/internal/phy"
@@ -70,22 +69,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxDiscoveryAttempts bounds MaxDiscoveryAttempts: the RREP wait
-// doubles per attempt, and past this many doublings it overflows.
-const maxDiscoveryAttempts = 32
+// discovery returns the knobs the shared discovery core reads.
+func (c Config) discovery() routing.Discovery {
+	return routing.Discovery{
+		NonPropagatingFirst: c.NonPropagatingFirst,
+		Timeout:             c.DiscoveryTimeout,
+		MaxAttempts:         c.MaxDiscoveryAttempts,
+		BufferCap:           c.SendBufferCap,
+		Jitter:              c.RebroadcastJitter,
+	}
+}
 
 // Validate reports settings the router cannot run with. Zero fields keep
 // the defaults New fills in; negative values are rejected.
 func (c Config) Validate() error {
 	switch {
-	case c.CacheCapacity < 0 || c.SendBufferCap < 0 || c.MaxRepliesPerRequest < 0 || c.MaxSalvage < 0:
-		return errors.New("dsr: capacities and reply/salvage limits must be >= 0")
-	case c.MaxDiscoveryAttempts < 0 || c.MaxDiscoveryAttempts > maxDiscoveryAttempts:
-		return fmt.Errorf("dsr: max discovery attempts must be in [0, %d]", maxDiscoveryAttempts)
-	case c.CacheLifetime < 0 || c.DiscoveryTimeout < 0 || c.SendBufferTimeout < 0:
-		return errors.New("dsr: cache lifetime and timeouts must be >= 0")
-	case c.RebroadcastJitter < 0 || c.RebroadcastJitter == sim.MaxTime:
-		return errors.New("dsr: rebroadcast jitter must be in [0, MaxTime)")
+	case c.CacheCapacity < 0 || c.MaxRepliesPerRequest < 0 || c.MaxSalvage < 0:
+		return errors.New("dsr: cache capacity and reply/salvage limits must be >= 0")
+	case c.CacheLifetime < 0 || c.SendBufferTimeout < 0:
+		return errors.New("dsr: cache lifetime and send buffer timeout must be >= 0")
+	}
+	if err := c.discovery().Validate(); err != nil {
+		return fmt.Errorf("dsr: %w", err)
 	}
 	return nil
 }
@@ -104,8 +109,11 @@ type Stats struct {
 	GossipDropped uint64 // rebroadcasts suppressed by the gossip extension
 }
 
-// Router is one node's DSR instance.
+// Router is one node's DSR instance. The embedded core owns the send
+// buffer, the discovery loop, RREQ dedup and the crash reset.
 type Router struct {
+	routing.OnDemand[*DataPacket]
+
 	id    phy.NodeID
 	sched *sim.Scheduler
 	rng   *rand.Rand
@@ -114,48 +122,21 @@ type Router struct {
 	cache *Cache
 	hooks routing.Hooks
 
-	buf         map[phy.NodeID][]bufEntry
-	seenRREQ    map[rreqKey]struct{}
-	replyCount  map[rreqKey]int
-	discoveries map[phy.NodeID]*discovery
-
-	nextRREQID uint64
-	nextSeq    uint64
-
-	down bool // fault-injected crash: reversible via Restart
+	replyCount map[rreqKey]int
 
 	stats Stats
 }
 
 var _ routing.Router = (*Router)(nil)
 
-type bufEntry struct {
-	pkt *DataPacket
-	at  sim.Time
-}
-
 type rreqKey struct {
 	origin phy.NodeID
 	id     uint64
 }
 
-type discovery struct {
-	attempts int
-	timer    sim.Timer
-}
-
 // New creates a router. tr must be set before any traffic flows; hooks may
 // be zero.
 func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr routing.Transport, cfg Config, hooks routing.Hooks) *Router {
-	if cfg.DiscoveryTimeout <= 0 {
-		cfg.DiscoveryTimeout = sim.Second
-	}
-	if cfg.MaxDiscoveryAttempts <= 0 {
-		cfg.MaxDiscoveryAttempts = 6
-	}
-	if cfg.SendBufferCap <= 0 {
-		cfg.SendBufferCap = 64
-	}
 	if cfg.SendBufferTimeout <= 0 {
 		cfg.SendBufferTimeout = 30 * sim.Second
 	}
@@ -163,18 +144,16 @@ func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr routing.Transpo
 		cfg.MaxRepliesPerRequest = 3
 	}
 	r := &Router{
-		id:          id,
-		sched:       sched,
-		rng:         rng,
-		tr:          tr,
-		cfg:         cfg,
-		cache:       NewCache(id, cfg.CacheCapacity, cfg.CacheLifetime),
-		hooks:       hooks,
-		buf:         make(map[phy.NodeID][]bufEntry),
-		seenRREQ:    make(map[rreqKey]struct{}),
-		replyCount:  make(map[rreqKey]int),
-		discoveries: make(map[phy.NodeID]*discovery),
+		id:         id,
+		sched:      sched,
+		rng:        rng,
+		tr:         tr,
+		cfg:        cfg,
+		cache:      NewCache(id, cfg.CacheCapacity, cfg.CacheLifetime),
+		hooks:      hooks,
+		replyCount: make(map[rreqKey]int),
 	}
+	r.OnDemand = routing.NewOnDemand[*DataPacket](id, sched, rng, tr, hooks, cfg.discovery(), r.newRREQ)
 	r.cache.SetInsertCallback(func(path []phy.NodeID) {
 		if r.hooks.CacheInserted != nil {
 			r.hooks.CacheInserted(path)
@@ -190,95 +169,44 @@ func New(id phy.NodeID, sched *sim.Scheduler, rng *rand.Rand, tr routing.Transpo
 	return r
 }
 
-// ID returns the owning node's ID.
-func (r *Router) ID() phy.NodeID { return r.id }
-
 // Cache exposes the route cache (read-mostly; used by metrics and tests).
 func (r *Router) Cache() *Cache { return r.cache }
 
-// BufferedData returns the data packets currently parked in the send buffer
-// awaiting route discovery, ordered by destination then insertion. The
-// audit layer enumerates still-buffered traffic with it at teardown.
-func (r *Router) BufferedData() []*routing.Data {
-	dsts := make([]phy.NodeID, 0, len(r.buf))
-	for dst := range r.buf {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	var out []*routing.Data
-	for _, dst := range dsts {
-		for _, e := range r.buf[dst] {
-			out = append(out, &e.pkt.Data)
-		}
-	}
-	return out
+// Stats returns a copy of the router counters.
+func (r *Router) Stats() Stats {
+	s, c := r.stats, r.Counts()
+	s.RREQSent, s.Delivered, s.Dropped = c.RREQSent, c.Delivered, c.Dropped
+	return s
 }
 
-// Stats returns a copy of the router counters.
-func (r *Router) Stats() Stats { return r.stats }
-
-// Crash wipes the router for a fault-injected node crash: discovery timers
-// are cancelled, the send buffer, RREQ dedup state and route cache are
-// cleared, and the router stops originating until Restart. The buffered
-// data packets are returned (destination order, as BufferedData) WITHOUT
-// passing through the drop hook — the fault layer reconciles them as a
-// terminal class of their own. Stats survive: they describe what the node
-// did while it was up.
+// Crash wipes the router for a fault-injected node crash: besides what the
+// core resets, the reply counts and the route cache are cleared. Stats
+// survive: they describe what the node did while it was up.
 func (r *Router) Crash() []*routing.Data {
-	if r.down {
+	if r.Down() {
 		return nil
 	}
-	r.down = true
-	flushed := r.BufferedData()
-	dsts := make([]phy.NodeID, 0, len(r.discoveries))
-	for dst := range r.discoveries {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		r.discoveries[dst].timer.Cancel()
-		delete(r.discoveries, dst)
-	}
-	clear(r.buf)
-	clear(r.seenRREQ)
 	clear(r.replyCount)
 	r.cache.Clear()
-	return flushed
+	return r.OnDemand.Crash()
 }
-
-// Restart brings a crashed router back up with empty state (the sequence
-// counters keep running so recycled packets never reuse a PacketKey).
-func (r *Router) Restart() { r.down = false }
 
 // SendData originates an application packet of payloadBytes to dst,
 // discovering a route first if necessary.
 func (r *Router) SendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
-	if r.down {
+	if r.Down() {
 		return
 	}
-	now := r.sched.Now()
-	r.nextSeq++
-	pkt := &DataPacket{Data: routing.Data{
-		FlowID:       flowID,
-		Seq:          r.nextSeq,
-		Src:          r.id,
-		Dst:          dst,
-		PayloadBytes: payloadBytes,
-		OriginatedAt: now,
-	}}
-	if r.hooks.DataOriginated != nil {
-		r.hooks.DataOriginated(&pkt.Data)
-	}
-	if dst == r.id {
-		r.deliver(pkt, r.id, 0)
+	pkt := &DataPacket{}
+	if !r.Originate(pkt, dst, flowID, payloadBytes) {
 		return
 	}
-	if route := r.cache.Find(now, dst); route != nil {
+	if route := r.cache.Find(r.sched.Now(), dst); route != nil {
 		pkt.Route = route
 		r.transmitData(pkt)
 		return
 	}
-	r.bufferAndDiscover(pkt)
+	r.Park(pkt)
 }
 
 // --- data plane ---
@@ -287,7 +215,7 @@ func (r *Router) SendData(dst phy.NodeID, flowID uint64, payloadBytes int) {
 func (r *Router) transmitData(pkt *DataPacket) {
 	i := indexOf(pkt.Route, r.id)
 	if i < 0 || i+1 >= len(pkt.Route) {
-		r.drop(pkt, "bad-route")
+		r.Drop(&pkt.Data, "bad-route")
 		return
 	}
 	nh := pkt.Route[i+1]
@@ -341,91 +269,28 @@ func (r *Router) handleLinkFailure(pkt *DataPacket, nh phy.NodeID) {
 	}
 	if pkt.Src == r.id {
 		// Source: buffer and rediscover rather than losing the packet.
-		r.bufferAndDiscover(pkt)
+		r.Park(pkt)
 		return
 	}
-	r.drop(pkt, "link-failure")
-}
-
-func (r *Router) deliver(pkt *DataPacket, from phy.NodeID, hops int) {
-	r.stats.Delivered++
-	if r.hooks.DataActivity != nil {
-		r.hooks.DataActivity()
-	}
-	if r.hooks.DataDelivered != nil {
-		r.hooks.DataDelivered(&pkt.Data, from, hops)
-	}
-}
-
-func (r *Router) drop(pkt *DataPacket, reason string) {
-	r.stats.Dropped++
-	if r.hooks.DataDropped != nil {
-		r.hooks.DataDropped(&pkt.Data, reason)
-	}
+	r.Drop(&pkt.Data, "link-failure")
 }
 
 // --- discovery ---
 
-// bufferAndDiscover queues pkt and ensures a discovery round is running.
-func (r *Router) bufferAndDiscover(pkt *DataPacket) {
-	q := r.buf[pkt.Dst]
-	if len(q) >= r.cfg.SendBufferCap {
-		r.drop(q[0].pkt, "buffer-overflow")
-		q = q[1:]
-	}
-	r.buf[pkt.Dst] = append(q, bufEntry{pkt: pkt, at: r.sched.Now()})
-	r.startDiscovery(pkt.Dst)
-}
-
-func (r *Router) startDiscovery(dst phy.NodeID) {
-	if _, running := r.discoveries[dst]; running {
-		return
-	}
-	d := &discovery{}
-	r.discoveries[dst] = d
-	r.issueRREQ(dst, d)
-}
-
-func (r *Router) issueRREQ(dst phy.NodeID, d *discovery) {
-	d.attempts++
-	if d.attempts > r.cfg.MaxDiscoveryAttempts {
-		r.abandonDiscovery(dst)
-		return
-	}
-	hopLimit := 255
-	if r.cfg.NonPropagatingFirst && d.attempts == 1 {
-		hopLimit = 1
-	}
-	r.nextRREQID++
-	req := &RouteRequest{
-		ID:       r.nextRREQID,
+// newRREQ builds the request of one discovery attempt for dst.
+func (r *Router) newRREQ(dst phy.NodeID, id uint64, hopLimit int) routing.Message {
+	return &RouteRequest{
+		ID:       id,
 		Origin:   r.id,
 		Target:   dst,
 		Recorded: []phy.NodeID{r.id},
 		HopLimit: hopLimit,
 	}
-	r.seenRREQ[rreqKey{origin: r.id, id: req.ID}] = struct{}{}
-	r.stats.RREQSent++
-	r.control(core.ClassRREQ)
-	r.tr.Send(phy.Broadcast, req, nil)
-
-	timeout := r.cfg.DiscoveryTimeout << uint(d.attempts-1)
-	d.timer = r.sched.After(timeout, func() { r.issueRREQ(dst, d) })
-}
-
-// abandonDiscovery gives up on dst and drops its buffered packets.
-func (r *Router) abandonDiscovery(dst phy.NodeID) {
-	delete(r.discoveries, dst)
-	for _, e := range r.buf[dst] {
-		r.drop(e.pkt, "no-route")
-	}
-	delete(r.buf, dst)
 }
 
 // flushBuffer sends buffered packets for dst if a route is now cached.
 func (r *Router) flushBuffer(dst phy.NodeID) {
-	q, ok := r.buf[dst]
-	if !ok {
+	if !r.Waiting(dst) {
 		return
 	}
 	now := r.sched.Now()
@@ -433,18 +298,13 @@ func (r *Router) flushBuffer(dst phy.NodeID) {
 	if route == nil {
 		return
 	}
-	if d, running := r.discoveries[dst]; running {
-		d.timer.Cancel()
-		delete(r.discoveries, dst)
-	}
-	delete(r.buf, dst)
-	for _, e := range q {
-		if now-e.at > r.cfg.SendBufferTimeout {
-			r.drop(e.pkt, "buffer-timeout")
+	for _, e := range r.RouteFound(dst) {
+		if now-e.At > r.cfg.SendBufferTimeout {
+			r.Drop(&e.Pkt.Data, "buffer-timeout")
 			continue
 		}
-		e.pkt.Route = route
-		r.transmitData(e.pkt)
+		e.Pkt.Route = route
+		r.transmitData(e.Pkt)
 	}
 }
 
@@ -456,7 +316,7 @@ func (r *Router) sendRREP(rep *RouteReply) {
 		return
 	}
 	r.stats.RREPSent++
-	r.control(core.ClassRREP)
+	r.Control(core.ClassRREP)
 	r.tr.Send(rep.ReplyPath[i+1], rep, nil)
 }
 
@@ -466,14 +326,8 @@ func (r *Router) sendRERR(rerr *RouteError) {
 		return
 	}
 	r.stats.RERRSent++
-	r.control(core.ClassRERR)
+	r.Control(core.ClassRERR)
 	r.tr.Send(rerr.ReturnPath[i+1], rerr, nil)
-}
-
-func (r *Router) control(c core.Class) {
-	if r.hooks.ControlSent != nil {
-		r.hooks.ControlSent(c)
-	}
 }
 
 // --- receive path (called by the MAC adapter) ---
@@ -513,7 +367,7 @@ func (r *Router) onData(from phy.NodeID, pkt *DataPacket) {
 	now := r.sched.Now()
 	r.cache.Learn(now, from, pkt.Route)
 	if pkt.Dst == r.id {
-		r.deliver(pkt, from, len(pkt.Route)-1)
+		r.Deliver(&pkt.Data, from, len(pkt.Route)-1)
 		return
 	}
 	if r.hooks.DataForwarded != nil {
@@ -543,10 +397,9 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 		r.sendRREP(&RouteReply{ID: req.ID, Route: route, ReplyPath: reversed(route)})
 		return
 	}
-	if _, dup := r.seenRREQ[key]; dup {
+	if !r.FirstSight(req.Origin, req.ID) {
 		return
 	}
-	r.seenRREQ[key] = struct{}{}
 
 	// Cache reply: splice recorded prefix with our cached suffix.
 	if r.cfg.CacheReplies {
@@ -578,24 +431,12 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 			return
 		}
 	}
-	fwd := &RouteRequest{
+	r.Rebroadcast(&RouteRequest{
 		ID:       req.ID,
 		Origin:   req.Origin,
 		Target:   req.Target,
 		Recorded: appendHop(req.Recorded, r.id),
 		HopLimit: req.HopLimit - 1,
-	}
-	jitter := sim.Time(0)
-	if r.cfg.RebroadcastJitter > 0 {
-		jitter = sim.Time(r.rng.Int63n(int64(r.cfg.RebroadcastJitter) + 1))
-	}
-	r.sched.After(jitter, func() {
-		if r.down {
-			return // crashed while the rebroadcast sat in its jitter window
-		}
-		r.stats.RREQSent++
-		r.control(core.ClassRREQ)
-		r.tr.Send(phy.Broadcast, fwd, nil)
 	})
 }
 

@@ -3,8 +3,10 @@ package routing_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
+	"rcast/internal/core"
 	"rcast/internal/phy"
 	"rcast/internal/routing"
 	"rcast/internal/routing/aodv"
@@ -20,6 +22,11 @@ type loopNet struct {
 	routers map[phy.NodeID]routing.Router
 	links   map[[2]phy.NodeID]bool
 	events  []string // data-plane hook calls, in order
+	rreqs   []string // RREQ transmissions as "node@seconds since mark"
+	mark    sim.Time
+
+	// afterReceive, when set, runs right after a router's Receive.
+	afterReceive func(id phy.NodeID, msg routing.Message)
 }
 
 type loopPort struct {
@@ -37,6 +44,9 @@ func (p loopPort) Send(nh phy.NodeID, msg routing.Message, onResult func(bool)) 
 			}
 			if nh == phy.Broadcast || id == nh {
 				n.routers[id].Receive(src, msg)
+				if n.afterReceive != nil {
+					n.afterReceive(id, msg)
+				}
 			} else {
 				n.routers[id].Overhear(src, msg)
 			}
@@ -63,13 +73,33 @@ func (n *loopNet) hooks(id phy.NodeID) routing.Hooks {
 		DataDropped: func(p *routing.Data, reason string) {
 			n.events = append(n.events, fmt.Sprintf("drop %v %s %s", id, key(p), reason))
 		},
+		ControlSent: func(c core.Class) {
+			if c == core.ClassRREQ {
+				n.rreqs = append(n.rreqs, fmt.Sprintf("%v@%gs", id, (n.sched.Now()-n.mark).Seconds()))
+			}
+		},
 	}
+}
+
+// rreqsBy returns the RREQ transmissions of node id.
+func (n *loopNet) rreqsBy(id phy.NodeID) []string {
+	var out []string
+	for _, r := range n.rreqs {
+		if strings.HasPrefix(r, id.String()+"@") {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // TestRouterContract drives DSR and AODV through routing.Router on the
 // line 0-1-2 with node 3 isolated, and requires both to report the same
 // data-plane events: hop counts (0 for a packet sent to itself), crash
-// hand-back, restart and giving up.
+// hand-back, restart and giving up. Both run the shared discovery core, so
+// the table also pins what it owns: the send buffer drops its oldest
+// packet on overflow, RREQs go out at 0, 1, 3, 7, 15 and 31 s before the
+// parked packets are dropped at 63 s, and a crash inside a rebroadcast's
+// jitter window suppresses that rebroadcast.
 func TestRouterContract(t *testing.T) {
 	protocols := []struct {
 		name string
@@ -134,6 +164,49 @@ func TestRouterContract(t *testing.T) {
 
 			src.SendData(0, 7, 64)
 			expect(n.sched.Now(), "originate n0 n0/7/5", "deliver n0 n0/7/5 hops=0")
+
+			// 65 packets for unreachable n3: the 64-packet buffer drops
+			// the oldest, and the rest wait out the whole discovery.
+			n.mark, n.rreqs = n.sched.Now(), nil
+			var want []string
+			for seq := 6; seq <= 70; seq++ {
+				src.SendData(3, 7, 64)
+				want = append(want, fmt.Sprintf("originate n0 n0/7/%d", seq))
+			}
+			expect(n.sched.Now(), append(want, "drop n0 n0/7/6 buffer-overflow")...)
+			expect(n.mark + 63*sim.Second - 1)
+			want = nil
+			for seq := 7; seq <= 70; seq++ {
+				want = append(want, fmt.Sprintf("drop n0 n0/7/%d no-route", seq))
+			}
+			expect(n.mark+63*sim.Second, want...)
+			if got, wantTx := n.rreqsBy(0), []string{"n0@0s", "n0@1s", "n0@3s", "n0@7s", "n0@15s", "n0@31s"}; !slices.Equal(got, wantTx) {
+				t.Fatalf("n0 sent RREQs %q, want %q", got, wantTx)
+			}
+			// The first attempt is non-propagating; n1 floods each other one.
+			if got := len(n.rreqsBy(1)); got != 5 {
+				t.Fatalf("n1 rebroadcast %d RREQs, want 5", got)
+			}
+
+			// n1 crashes right after taking in the first propagating RREQ,
+			// while its rebroadcast waits out the jitter: nothing leaves n1.
+			heard := 0
+			n.afterReceive = func(id phy.NodeID, msg routing.Message) {
+				if id == 1 && msg.Class() == core.ClassRREQ {
+					if heard++; heard == 2 {
+						n.routers[1].Crash()
+					}
+				}
+			}
+			n.mark, n.rreqs = n.sched.Now(), nil
+			src.SendData(3, 7, 64)
+			expect(n.mark+63*sim.Second, "originate n0 n0/7/71", "drop n0 n0/7/71 no-route")
+			if heard != 6 || len(n.rreqsBy(0)) != 6 {
+				t.Fatalf("n1 heard %d RREQs of the %d n0 sent, want 6", heard, len(n.rreqsBy(0)))
+			}
+			if got := n.rreqsBy(1); len(got) != 0 {
+				t.Fatalf("crashed n1 rebroadcast %q", got)
+			}
 		})
 	}
 }
