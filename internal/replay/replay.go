@@ -307,15 +307,9 @@ func Run(cfg scenario.Config, recorded []trace.Event) (*scenario.Result, []trace
 		return res, rec.Events(), err
 	}
 	if div, diverged := trace.Diff(recorded, rec.Events()); diverged {
+		recordedAt, replayedAt := div.Sides()
 		return res, rec.Events(), fmt.Errorf("replay: diverged at event %d:\n  recorded: %s\n  replayed: %s",
-			div.Index, side(div.A), side(div.B))
+			div.Index, recordedAt, replayedAt)
 	}
 	return res, rec.Events(), nil
-}
-
-func side(e *trace.Event) string {
-	if e == nil {
-		return "<end of trace>"
-	}
-	return e.String()
 }

@@ -172,4 +172,7 @@ func TestDiff(t *testing.T) {
 	if !diverged || d.Index != 3 || d.A == nil || d.B != nil {
 		t.Fatalf("prefix divergence: %+v diverged=%v", d, diverged)
 	}
+	if sideA, sideB := d.Sides(); sideA != d.A.String() || sideB != "<end of trace>" {
+		t.Fatalf("Sides() = %q, %q", sideA, sideB)
+	}
 }

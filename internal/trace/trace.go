@@ -434,6 +434,17 @@ type Divergence struct {
 	A, B  *Event // nil when that side's stream ended first
 }
 
+// Sides renders both sides' events at the divergence, "<end of trace>"
+// for a side whose stream ended first.
+func (d Divergence) Sides() (a, b string) { return eventOrEnd(d.A), eventOrEnd(d.B) }
+
+func eventOrEnd(e *Event) string {
+	if e == nil {
+		return "<end of trace>"
+	}
+	return e.String()
+}
+
 // Diff compares two traces event-for-event and returns the first
 // divergence; ok is false when the streams are identical. Events are
 // compared in full — sequence number, time, node, kind, packet UID and

@@ -6,7 +6,8 @@
 # the separate bench module, the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
 # 100-node route-learning cell, the 100-node mobile paper cell, that
 # cell's world set-up and a 40-node shadowing cell), a benchmark smoke
-# run, a tracediff smoke (audit inert / seeds diverge), the golden-trace
+# run, a tracediff smoke (audit inert on DSR and on AODV with every fault
+# preset / seeds diverge), the golden-trace
 # corpus gate (every committed cell re-runs and replays byte-identically),
 # record/replay round-trips through the rcast-sim CLI (plain, fading +
 # Gauss–Markov, policy + battery + TX power, AODV + all faults), an
@@ -69,12 +70,17 @@ go test -run '^$' -bench 'BenchmarkTransmit|BenchmarkVisitNeighbors|BenchmarkCou
 
 echo "== tracediff smoke =="
 # The audit must be observation-only: trace A (plain) against B (audited)
-# and require byte-for-byte identical event streams (exit 0).
-go run ./tools/tracediff -nodes 25 -duration 30s -connections 5 -audit-b
+# and require byte-for-byte identical event streams (exit 0). tracediff
+# starts from PaperDefaults, so the 900 m field and 30 s pause are spelled
+# out.
+go run ./tools/tracediff -nodes 25 -field-w 900 -duration 30s -pause 30s -connections 5 -audit-b
+# The same over AODV with every fault preset: crashes take the AODV
+# router through the shared discovery core's reset.
+go run ./tools/tracediff -nodes 25 -field-w 900 -duration 30s -pause 30s -connections 5 -routing AODV -faults all -audit-b
 # Two seeds of one config must diverge, and tracediff must say so with
 # exit status 1 (2 would mean it errored instead of diffing).
 rc=0
-go run ./tools/tracediff -nodes 25 -duration 30s -connections 5 -seed-b 2 > /dev/null || rc=$?
+go run ./tools/tracediff -nodes 25 -field-w 900 -duration 30s -pause 30s -connections 5 -seed-b 2 > /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "tracediff: want exit 1 for diverging seeds, got $rc" >&2
   exit 1

@@ -7,13 +7,6 @@ import (
 	"rcast/internal/trace"
 )
 
-// diffEvents locates the first difference between two event streams; ok
-// is false when the streams are identical. The comparison itself lives in
-// trace.Diff so tracegate and the replay engine report identically.
-func diffEvents(a, b []trace.Event) (trace.Divergence, bool) {
-	return trace.Diff(a, b)
-}
-
 // report prints the divergence with up to context common events leading
 // into it, so the reader sees what both runs agreed on last.
 func report(w io.Writer, a, b []trace.Event, d trace.Divergence, context int) {
@@ -28,14 +21,8 @@ func report(w io.Writer, a, b []trace.Event, d trace.Divergence, context int) {
 		}
 	}
 	fmt.Fprintf(w, "first divergence at event %d:\n", d.Index)
-	fmt.Fprintf(w, "  A: %s\n", side(d.A))
-	fmt.Fprintf(w, "  B: %s\n", side(d.B))
+	sideA, sideB := d.Sides()
+	fmt.Fprintf(w, "  A: %s\n", sideA)
+	fmt.Fprintf(w, "  B: %s\n", sideB)
 	fmt.Fprintf(w, "totals: A=%d events, B=%d events\n", len(a), len(b))
-}
-
-func side(e *trace.Event) string {
-	if e == nil {
-		return "<end of trace>"
-	}
-	return e.String()
 }

@@ -30,10 +30,10 @@ func sampleEvents(n int) []trace.Event {
 func TestDiffEventsIdentical(t *testing.T) {
 	a := sampleEvents(20)
 	b := sampleEvents(20)
-	if _, diverged := diffEvents(a, b); diverged {
+	if _, diverged := trace.Diff(a, b); diverged {
 		t.Fatal("identical streams reported divergent")
 	}
-	if _, diverged := diffEvents(nil, nil); diverged {
+	if _, diverged := trace.Diff(nil, nil); diverged {
 		t.Fatal("two empty streams reported divergent")
 	}
 }
@@ -42,7 +42,7 @@ func TestDiffEventsPlantedDivergence(t *testing.T) {
 	a := sampleEvents(20)
 	b := sampleEvents(20)
 	b[13].Detail = "planted"
-	d, diverged := diffEvents(a, b)
+	d, diverged := trace.Diff(a, b)
 	if !diverged {
 		t.Fatal("planted divergence not found")
 	}
@@ -57,7 +57,7 @@ func TestDiffEventsPlantedDivergence(t *testing.T) {
 func TestDiffEventsPrefix(t *testing.T) {
 	a := sampleEvents(20)
 	b := sampleEvents(15) // b is a strict prefix of a
-	d, diverged := diffEvents(a, b)
+	d, diverged := trace.Diff(a, b)
 	if !diverged {
 		t.Fatal("length mismatch not reported")
 	}
@@ -132,9 +132,28 @@ func TestRunFileModeErrors(t *testing.T) {
 	}
 }
 
+// TestRunRunModeErrors pins that a bad flag, a bad config value for
+// either side and an invalid config are errors (exit 2), not divergences.
+func TestRunRunModeErrors(t *testing.T) {
+	base := []string{"-nodes", "8", "-field-w", "400", "-duration", "10s", "-static", "-connections", "2"}
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-faults", "no-such-preset"},
+		{"-scheme-b", "no-such-scheme"},
+		{"-rate", "-1"},
+		{"-rate-b", "-1"},
+	} {
+		var out bytes.Buffer
+		diverged, err := run(append(base[:len(base):len(base)], args...), &out)
+		if err == nil || exitCode(diverged, err) != 2 {
+			t.Errorf("%v: diverged=%v err=%v, want an error", args, diverged, err)
+		}
+	}
+}
+
 // TestRunRunMode exercises run mode end to end on tiny scenarios: every
-// -*-b override branch applied at once (must diverge), and an audit-only
-// override (must be identical — the audit is observation-only).
+// -*-b override branch applied at once (must diverge), and audit-only
+// overrides (must be identical — the audit is observation-only).
 func TestRunRunMode(t *testing.T) {
 	base := []string{"-nodes", "8", "-field-w", "400", "-duration", "10s", "-static", "-connections", "2"}
 
@@ -157,5 +176,13 @@ func TestRunRunMode(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "traces identical") {
 		t.Fatalf("output = %q", out.String())
+	}
+
+	// Side A takes every knob of the scenario field table: here AODV with
+	// node crashes, still audit-inert.
+	out.Reset()
+	diverged, err = run(append(base, "-routing", "AODV", "-faults", "crash", "-audit-b"), &out)
+	if err != nil || diverged {
+		t.Fatalf("AODV with crashes, audit-on side B: diverged=%v err=%v\n%s", diverged, err, out.String())
 	}
 }

@@ -1,14 +1,16 @@
 // Command tracediff locates the first behavioural divergence between two
 // simulation runs by diffing their packet-lifecycle traces.
 //
-// It has two modes. In run mode it builds two configs — side A from the
-// base flags, side B from the same base with any `-*-b` override applied —
-// runs both with an in-memory trace recorder, and reports the first event
-// where the traces differ:
+// It has two modes. In run mode it builds two configs — side A from
+// PaperDefaults and rcast-sim's config flags (every knob of the scenario
+// field table), side B from the same base with any `-*-b` override
+// applied — runs both with an in-memory trace recorder, and reports the
+// first event where the traces differ. The defaults are the full 1125 s
+// paper cell, so the examples pass a small one:
 //
-//	tracediff -seed 1 -seed-b 2          # two seeds of one config
-//	tracediff -scheme PSM -scheme-b Rcast
-//	tracediff -audit-b                   # audit-on vs audit-off (should be identical)
+//	tracediff -nodes 25 -duration 30s -seed-b 2        # two seeds of one config
+//	tracediff -nodes 25 -duration 30s -scheme PSM -scheme-b Rcast
+//	tracediff -nodes 25 -duration 30s -routing AODV -faults all -audit-b   # audit-on vs audit-off (should be identical)
 //
 // In file mode it diffs two NDJSON traces captured earlier with
 // `rcast-sim -trace` or downloaded from `rcast-serve`:
@@ -24,10 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"rcast/internal/scenario"
-	"rcast/internal/sim"
 	"rcast/internal/trace"
 )
 
@@ -53,22 +53,10 @@ func exitCode(diverged bool, err error) int {
 
 func run(args []string, out io.Writer) (bool, error) {
 	fs := flag.NewFlagSet("tracediff", flag.ContinueOnError)
+	applyConfig := scenario.RegisterFlags(fs)
 	var (
 		aFile = fs.String("a", "", "side A: NDJSON trace file (file mode; requires -b)")
 		bFile = fs.String("b", "", "side B: NDJSON trace file (file mode; requires -a)")
-
-		schemeName = fs.String("scheme", "Rcast", "scheme: 802.11, PSM, PSM-no-overhear, ODPM, Rcast")
-		nodes      = fs.Int("nodes", 40, "number of nodes")
-		fieldW     = fs.Float64("field-w", 900, "field width (m)")
-		fieldH     = fs.Float64("field-h", 300, "field height (m)")
-		conns      = fs.Int("connections", 8, "CBR connections")
-		rate       = fs.Float64("rate", 0.4, "packets per second per connection")
-		duration   = fs.Duration("duration", 60*time.Second, "simulated time")
-		pause      = fs.Duration("pause", 30*time.Second, "random waypoint pause time")
-		static     = fs.Bool("static", false, "static scenario (pause = duration)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		gossip     = fs.Float64("gossip", 0, "broadcast-Rcast fanout (0 disables)")
-		audit      = fs.Bool("audit", false, "run under the cross-layer invariant audit")
 
 		schemeB = fs.String("scheme-b", "", "side B scheme override")
 		rateB   = fs.Float64("rate-b", 0, "side B packet rate override")
@@ -85,9 +73,11 @@ func run(args []string, out io.Writer) (bool, error) {
 		return false, fmt.Errorf("file mode needs both -a and -b")
 	}
 
-	var evA, evB []trace.Event
+	var (
+		evA, evB []trace.Event
+		err      error
+	)
 	if *aFile != "" {
-		var err error
 		if evA, err = readFile(*aFile); err != nil {
 			return false, err
 		}
@@ -96,23 +86,9 @@ func run(args []string, out io.Writer) (bool, error) {
 		}
 	} else {
 		cfgA := scenario.PaperDefaults()
-		scheme, err := scenario.ParseScheme(*schemeName)
-		if err != nil {
+		if err = applyConfig(&cfgA); err != nil {
 			return false, err
 		}
-		cfgA.Scheme = scheme
-		cfgA.Nodes = *nodes
-		cfgA.FieldW, cfgA.FieldH = *fieldW, *fieldH
-		cfgA.Connections = *conns
-		cfgA.PacketRate = *rate
-		cfgA.Duration = sim.FromSeconds(duration.Seconds())
-		cfgA.Pause = sim.FromSeconds(pause.Seconds())
-		if *static {
-			cfgA.Pause = cfgA.Duration
-		}
-		cfgA.Seed = *seed
-		cfgA.GossipFanout = *gossip
-		cfgA.Audit = *audit
 
 		// Side B starts as a copy of A; only explicitly passed -*-b flags
 		// override it, so `tracediff -seed-b 2` compares seeds and nothing
@@ -148,7 +124,7 @@ func run(args []string, out io.Writer) (bool, error) {
 		}
 	}
 
-	d, diverged := diffEvents(evA, evB)
+	d, diverged := trace.Diff(evA, evB)
 	if !diverged {
 		fmt.Fprintf(out, "traces identical: %d events\n", len(evA))
 		return false, nil

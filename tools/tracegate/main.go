@@ -297,15 +297,8 @@ func describeTraceDiff(golden, got []byte) string {
 		// behavioral one — still a golden break.
 		return "trace bytes differ but events are identical (NDJSON encoding changed?)"
 	}
-	return fmt.Sprintf("first divergence at event %d:\n  golden: %s\n  head:   %s",
-		d.Index, sideString(d.A), sideString(d.B))
-}
-
-func sideString(e *trace.Event) string {
-	if e == nil {
-		return "<end of trace>"
-	}
-	return e.String()
+	atGolden, atHead := d.Sides()
+	return fmt.Sprintf("first divergence at event %d:\n  golden: %s\n  head:   %s", d.Index, atGolden, atHead)
 }
 
 // serveTrace submits the cell as a traced job to an in-process
