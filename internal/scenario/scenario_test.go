@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"rcast/internal/core"
+	"rcast/internal/mac"
+	"rcast/internal/routing/aodv"
+	"rcast/internal/routing/dsr"
 	"rcast/internal/sim"
 	"rcast/internal/trace"
 )
@@ -475,5 +478,37 @@ func TestRoleNumbersPopulated(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no role numbers accumulated")
+	}
+}
+
+// TestAddCountersSumsEveryField gives every field of each per-node Stats
+// type a distinct value on two nodes and requires the total to hold both,
+// so a counter added to mac.Stats, dsr.Stats or aodv.Stats is summed into
+// Result without a line of its own. Every field must be a uint64: the
+// helper skips anything else.
+func TestAddCountersSumsEveryField(t *testing.T) {
+	checkCountersSummed[mac.Stats](t)
+	checkCountersSummed[dsr.Stats](t)
+	checkCountersSummed[aodv.Stats](t)
+}
+
+func checkCountersSummed[T any](t *testing.T) {
+	t.Helper()
+	var total, a, b T
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("%T.%s is a %v, not a uint64 counter", a, va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(1000 * (i + 1)))
+	}
+	addCounters(&total, a)
+	addCounters(&total, b)
+	vt := reflect.ValueOf(total)
+	for i := 0; i < vt.NumField(); i++ {
+		if got, want := vt.Field(i).Uint(), uint64(1001*(i+1)); got != want {
+			t.Errorf("%T.%s summed to %d, want %d", total, vt.Type().Field(i).Name, got, want)
+		}
 	}
 }
