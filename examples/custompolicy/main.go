@@ -7,8 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"math/rand"
+	"os"
 
 	"rcast"
 )
@@ -30,16 +31,14 @@ func (d *dutyCycle) AdvertiseLevel(c rcast.Class) rcast.Level {
 	return rcast.LevelUnconditional
 }
 
-func (d *dutyCycle) ShouldOverhear(_ *rand.Rand, lvl rcast.Level, _ rcast.ListenContext) bool {
-	switch lvl {
-	case rcast.LevelUnconditional:
-		return true
-	case rcast.LevelRandomized:
-		d.count++
-		return d.count%d.Period == 0
-	default:
-		return false
+// OverhearProbability is asked once per randomized advertisement; it
+// answers with certainty, so the simulator draws no coin for it.
+func (d *dutyCycle) OverhearProbability(rcast.ListenContext) float64 {
+	d.count++
+	if d.count%d.Period == 0 {
+		return 1
 	}
+	return 0
 }
 
 func (d *dutyCycle) Name() string { return fmt.Sprintf("duty-1/%d", d.Period) }
@@ -49,8 +48,16 @@ func (d *dutyCycle) Name() string { return fmt.Sprintf("duty-1/%d", d.Period) }
 func (d *dutyCycle) Reads() rcast.Reads { return 0 }
 
 func main() {
-	fmt.Println("Custom overhearing policies on the Rcast stack (40 nodes, 200 s)")
-	fmt.Printf("%-12s %10s %8s %10s\n", "policy", "energy(J)", "PDR", "overhead")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates each policy on the same cell and writes one table row per
+// policy to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Custom overhearing policies on the Rcast stack (40 nodes, 200 s)")
+	fmt.Fprintf(w, "%-12s %10s %8s %10s\n", "policy", "energy(J)", "PDR", "overhead")
 
 	policies := []rcast.Policy{
 		rcast.PolicyRcast,
@@ -71,9 +78,10 @@ func main() {
 
 		res, err := rcast.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-12s %10.0f %7.1f%% %10.2f\n",
+		fmt.Fprintf(w, "%-12s %10.0f %7.1f%% %10.2f\n",
 			pol.Name(), res.TotalJoules, 100*res.PDR, res.NormalizedOverhead)
 	}
+	return nil
 }

@@ -9,9 +9,9 @@ import "fmt"
 // sweep policy axes, the rcast-sim/rcast-bench -policy flags, the
 // rcast-serve job and sweep APIs, and the {policy} metrics label.
 //
-// Registered policies must be stateless values (their behaviour a pure
-// function of the RNG stream and ListenContext) so that resolving a name
-// twice yields interchangeable policies and named runs stay deterministic.
+// Registered policies must be stateless values (their probability a pure
+// function of the ListenContext) so that resolving a name twice yields
+// interchangeable policies and named runs stay deterministic.
 var policyRegistry = []Policy{
 	Rcast{},
 	Unconditional{},

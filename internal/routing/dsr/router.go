@@ -426,7 +426,7 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 	// rebroadcasts around the origin is exempt (gossip with hop gating, as
 	// in Haas et al.) so small floods always reach two hops.
 	if r.cfg.Gossip != nil && r.cfg.NeighborCount != nil && len(req.Recorded) >= 2 {
-		if !r.cfg.Gossip.ShouldRebroadcast(r.rng, r.cfg.NeighborCount()) {
+		if !sim.Bernoulli(r.rng, r.cfg.Gossip.Probability(r.cfg.NeighborCount())) {
 			r.stats.GossipDropped++
 			return
 		}

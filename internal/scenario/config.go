@@ -253,10 +253,11 @@ type Config struct {
 // to re-execute a run from its captured trace. Each nil hook leaves the
 // corresponding decision site on its live path.
 type ReplayHooks struct {
-	// Lottery overrides each overhearing-lottery verdict. The configured
-	// policy still runs (and burns its RNG draws — the lottery shares the
-	// per-node MAC stream with DCF backoff) before the override replaces
-	// its answer; policySays is that live verdict.
+	// Lottery overrides each overhearing-lottery verdict: one call per
+	// coin, for every non-addressed unconditional (p = 1) or randomized
+	// advertisement. The coin is still drawn with the policy's probability
+	// (sim.Bernoulli on the per-node MAC stream, shared with DCF backoff)
+	// before the override replaces it; policySays is that live verdict.
 	Lottery func(now sim.Time, node phy.NodeID, a mac.Announcement, policySays bool) bool
 
 	// Loss replaces the fault plan's PHY loss model (Gilbert–Elliott

@@ -30,7 +30,7 @@ func assertResultsEqual(t *testing.T, a, b *Result) {
 // TestOracleFixedProbOneEqualsUnconditional is the first differential
 // oracle from DESIGN.md §8: Rcast's randomized machinery with the
 // stay-awake probability pinned to 1 must reproduce the Unconditional
-// policy exactly. probRandomized short-circuits at p >= 1 without
+// policy exactly. sim.Bernoulli short-circuits at p >= 1 without
 // consuming randomness, so both policies keep every listener awake and
 // leave every RNG stream in the same state — the two runs must agree on
 // every metric. Only MACTotal.Announced may differ: FixedProb advertises

@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"rcast/internal/core"
+	"rcast/internal/mac"
+	"rcast/internal/phy"
 	"rcast/internal/sim"
 )
 
@@ -55,38 +58,30 @@ func TestPolicyPinMobilityAtZeroChurn(t *testing.T) {
 // announcement arrives from a sender not heard within the recency window.
 // A full-run pin cannot hold — the first data frame from any sender always
 // fires the certainty boost — so the pin is at the decision level: with the
-// sender recently heard, sender-id must advertise and draw exactly like
-// Rcast for every class, level and neighborhood size; with the sender
-// unheard it must overhear with certainty without touching the RNG.
+// sender recently heard, sender-id must advertise like Rcast for every
+// class and give Rcast's probability for every neighborhood size; with the
+// sender unheard it must give a certain coin, which draws nothing.
 func TestPolicyPinSenderIDAllHeard(t *testing.T) {
 	for _, class := range []core.Class{core.ClassData, core.ClassRREQ, core.ClassRREP, core.ClassRERR} {
 		if got, want := (core.SenderID{}).AdvertiseLevel(class), (core.Rcast{}).AdvertiseLevel(class); got != want {
 			t.Fatalf("class %v: sender-id advertises %v, rcast %v", class, got, want)
 		}
 	}
-	ra := rand.New(rand.NewSource(7))
-	rb := rand.New(rand.NewSource(7))
 	heard := core.ListenContext{SenderRecentlyHeard: true}
-	for i := 0; i < 1000; i++ {
-		heard.Neighbors = 1 + i%9
-		lvl := core.LevelRandomized
-		if i%5 == 0 {
-			lvl = core.LevelUnconditional
+	for n := 0; n <= 40; n++ {
+		heard.Neighbors = n
+		if a, b := (core.SenderID{}).OverhearProbability(heard), (core.Rcast{}).OverhearProbability(heard); a != b {
+			t.Fatalf("neighbors=%d: sender-id p=%v, rcast p=%v", n, a, b)
 		}
-		a := core.SenderID{}.ShouldOverhear(ra, lvl, heard)
-		b := core.Rcast{}.ShouldOverhear(rb, lvl, heard)
-		if a != b {
-			t.Fatalf("draw %d: sender-id %v, rcast %v", i, a, b)
-		}
-	}
-	if ra.Int63() != rb.Int63() {
-		t.Fatal("sender-id consumed a different number of RNG draws than rcast")
 	}
 	// Unheard sender: certainty, no draw.
 	unheard := core.ListenContext{Neighbors: 8}
+	if p := (core.SenderID{}).OverhearProbability(unheard); p < 1 {
+		t.Fatalf("sender-id gave an unheard sender p=%v, want certainty", p)
+	}
 	rng := rand.New(rand.NewSource(7))
 	state := rand.New(rand.NewSource(7))
-	if !(core.SenderID{}).ShouldOverhear(rng, core.LevelRandomized, unheard) {
+	if !sim.Bernoulli(rng, (core.SenderID{}).OverhearProbability(unheard)) {
 		t.Fatal("sender-id skipped an unheard sender")
 	}
 	if rng.Int63() != state.Int63() {
@@ -122,5 +117,59 @@ func TestPolicyReadsChangeNoResult(t *testing.T) {
 				t.Fatalf("%s on %s: declared reads changed the result:\ndeclared: %+v\nhidden:   %+v", p.Name(), channel, a, b)
 			}
 		}
+	}
+}
+
+// calibratedRcast is core.Rcast that sums, over every probability it
+// gives, p and the coin's variance p(1−p).
+type calibratedRcast struct {
+	core.Rcast
+	asked      int
+	sumP, sumV float64
+}
+
+func (c *calibratedRcast) OverhearProbability(ctx core.ListenContext) float64 {
+	p := c.Rcast.OverhearProbability(ctx)
+	c.asked++
+	c.sumP += p
+	c.sumV += p * (1 - p)
+	return p
+}
+
+// TestOverhearingCoinsMatchPolicyProbabilities checks the drawn coins
+// against the probabilities the policy gave, over whole Rcast runs: the
+// randomized coins that came up heads, counted through a pass-through
+// lottery hook, must lie within 4 standard deviations of Σp. Each
+// randomized coin must ask the policy exactly once.
+func TestOverhearingCoinsMatchPolicyProbabilities(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		pol := &calibratedRcast{}
+		coins, heads := 0, 0
+		cfg := quickConfig(SchemeRcast)
+		cfg.Seed = seed
+		cfg.Policy = pol
+		cfg.Replay = &ReplayHooks{Lottery: func(_ sim.Time, _ phy.NodeID, a mac.Announcement, stay bool) bool {
+			if a.Level == core.LevelRandomized {
+				coins++
+				if stay {
+					heads++
+				}
+			}
+			return stay
+		}}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if pol.asked != coins {
+			t.Fatalf("seed %d: policy asked %d times for %d randomized coins", seed, pol.asked, coins)
+		}
+		if pol.sumV < 25 {
+			t.Fatalf("seed %d: Σp(1−p) = %.1f over %d coins, too few random coins to test", seed, pol.sumV, coins)
+		}
+		z := (float64(heads) - pol.sumP) / math.Sqrt(pol.sumV)
+		if math.Abs(z) > 4 {
+			t.Fatalf("seed %d: %d heads in %d coins against Σp = %.1f (z = %.2f)", seed, heads, coins, pol.sumP, z)
+		}
+		t.Logf("seed %d: %d coins, %d heads, Σp = %.1f, Σp(1−p) = %.1f, z = %+.2f", seed, coins, heads, pol.sumP, pol.sumV, z)
 	}
 }

@@ -31,6 +31,20 @@ func Stream(base int64, name string) *rand.Rand {
 	return rand.New(s)
 }
 
+// Bernoulli draws a coin that comes up true with probability p. A certain
+// outcome (p ≥ 1 or p ≤ 0) draws nothing, so a stream's later draws do not
+// depend on how many certain coins came before; otherwise it consumes one
+// Float64. Every overhearing and gossip coin is drawn here.
+func Bernoulli(rng *rand.Rand, p float64) bool {
+	if p >= 1 {
+		return true
+	}
+	if p <= 0 {
+		return false
+	}
+	return rng.Float64() < p
+}
+
 const (
 	rngLen   = 607
 	rngTap   = 273

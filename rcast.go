@@ -102,16 +102,17 @@ const (
 func ParseScheme(name string) (Scheme, error) { return scenario.ParseScheme(name) }
 
 // Policy is an overhearing policy: it chooses the advertised overhearing
-// level per packet class (sender side) and decides whether a non-addressed
-// listener stays awake (listener side). Set Config.Policy to override a
-// scheme's default.
+// level per packet class (sender side) and gives the probability that a
+// non-addressed listener stays awake for a randomized advertisement
+// (listener side); the simulator draws the coin. Set Config.Policy to
+// override a scheme's default.
 type Policy = core.Policy
 
 // ListenContext carries the listener-side state a Policy may consult.
 type ListenContext = core.ListenContext
 
 // ContextReader is implemented by a Policy that declares, as Reads,
-// whether its ShouldOverhear consults the neighbor count and the
+// whether its OverhearProbability consults the neighbor count and the
 // link-change rate, the ListenContext fields that cost neighbor queries.
 // The simulator leaves an undeclared one zero rather than computing it. A
 // policy without the declaration is given every field.

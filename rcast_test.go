@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"rcast"
@@ -74,11 +73,9 @@ func TestPublicTimeHelpers(t *testing.T) {
 // surface: it always overhears (equivalent to unconditional).
 type alwaysPolicy struct{}
 
-func (alwaysPolicy) AdvertiseLevel(rcast.Class) rcast.Level { return rcast.LevelUnconditional }
-func (alwaysPolicy) ShouldOverhear(*rand.Rand, rcast.Level, rcast.ListenContext) bool {
-	return true
-}
-func (alwaysPolicy) Name() string { return "always" }
+func (alwaysPolicy) AdvertiseLevel(rcast.Class) rcast.Level          { return rcast.LevelUnconditional }
+func (alwaysPolicy) OverhearProbability(rcast.ListenContext) float64 { return 1 }
+func (alwaysPolicy) Name() string                                    { return "always" }
 
 func TestPublicCustomPolicy(t *testing.T) {
 	base, err := rcast.Run(smallConfig(rcast.SchemeRcast))

@@ -6,7 +6,8 @@
 # the separate bench module, the coverage gate, the calibrated perf-smoke gate (a 3-node cell, a
 # 100-node route-learning cell, the 100-node mobile paper cell, that
 # cell's world set-up and a 40-node shadowing cell), a benchmark smoke
-# run, a tracediff smoke (audit inert on DSR and on AODV with every fault
+# run, an examples smoke (every examples/* program must exit 0), a
+# tracediff smoke (audit inert on DSR and on AODV with every fault
 # preset / seeds diverge), the golden-trace
 # corpus gate (every committed cell re-runs and replays byte-identically),
 # record/replay round-trips through the rcast-sim CLI (plain, fading +
@@ -67,6 +68,12 @@ go test -run '^$' -bench 'BenchmarkFullRunRcast$|BenchmarkChannelTransmit|Benchm
 go test -run '^$' -bench 'BenchmarkStream$' -benchtime 1x ./internal/sim
 go test -run '^$' -bench 'BenchmarkCacheAdd$|BenchmarkCacheInsertEvict$|BenchmarkLearnFromTransmitter$|BenchmarkLearnMemoHit$' -benchtime 1x ./internal/routing/dsr
 go test -run '^$' -bench 'BenchmarkTransmit|BenchmarkVisitNeighbors|BenchmarkCountNeighbors' -benchtime 1x ./internal/phy
+
+echo "== examples smoke =="
+# Run every example program on the public API; a non-zero exit fails.
+for dir in examples/*/; do
+  go run "./$dir" > /dev/null
+done
 
 echo "== tracediff smoke =="
 # The audit must be observation-only: trace A (plain) against B (audited)
