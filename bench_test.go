@@ -301,8 +301,10 @@ func benchmarkFullRun(b *testing.B, scheme rcast.Scheme) {
 
 // BenchmarkWorldSetup measures wiring the paper's 100-node world: a
 // zero-length run of PaperDefaults (traffic from t=0, 1 ms of simulated
-// time), the build whose median is the benchmark's setup_s. Per-node RNG
-// streams are most of it (DESIGN.md §14, "Seeding without divisions").
+// time), the build whose median is the benchmark's setup_s. Most of it
+// is allocating the nodes' routers, caches, MACs and hooks; the per-node
+// RNG streams hold no state until their 274th draw, so they cost little
+// here (DESIGN.md §14, "Deferred state").
 func BenchmarkWorldSetup(b *testing.B) {
 	cfg := rcast.PaperDefaults()
 	cfg.TrafficStart = 0

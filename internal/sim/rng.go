@@ -19,16 +19,18 @@ func DeriveSeed(base int64, name string) int64 {
 
 // Stream returns a new pseudo-random stream for the given base seed and
 // name. Its draws are exactly those of a math/rand source seeded with
-// DeriveSeed(base, name), only seeded faster (see source).
+// DeriveSeed(base, name), only built faster: the stream holds no
+// generator state until its 274th draw (see deferred), and most streams
+// never get that far.
 //
 // Streams with distinct names are independent only up to a 31-bit seed:
 // the generator keeps just DeriveSeed's value mod 2³¹−1, so two names
 // collide — draw for draw the same stream — with probability 2⁻³¹ per
 // pair (DESIGN.md §14, "Seeding without divisions").
 func Stream(base int64, name string) *rand.Rand {
-	s := new(source)
-	s.Seed(DeriveSeed(base, name))
-	return rand.New(s)
+	d := new(deferred)
+	d.Seed(DeriveSeed(base, name))
+	return rand.New(d)
 }
 
 // Bernoulli draws a coin that comes up true with probability p. A certain
@@ -98,12 +100,10 @@ func mulMod(a, x uint64) uint64 {
 	return min(r, r-int32max)
 }
 
-// Seed sets the state exactly as math/rand's rngSource.Seed does: reduce
-// the seed mod 2³¹−1 (0 becomes 89482311), then fill slot i with the
-// seeding values 21+3i..23+3i packed as v₁<<40 ^ v₂<<20 ^ v₃, XORed with
-// math/rand's seeding table.
-func (s *source) Seed(seed int64) {
-	s.tap, s.feed = 0, rngLen-rngTap
+// reduceSeed reduces a seed as math/rand's rngSource.Seed does: mod
+// 2³¹−1, a negative remainder plus 2³¹−1, and 0 becomes 89482311. The
+// result is in [1, 2³¹−2] and reduces to itself.
+func reduceSeed(seed int64) uint64 {
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -111,11 +111,24 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
+	return uint64(seed)
+}
+
+// seedSlot returns state slot i as seeded from the reduced seed x: the
+// seeding values 21+3i..23+3i packed as v₁<<40 ^ v₂<<20 ^ v₃, XORed with
+// math/rand's seeding table.
+func seedSlot(i int, x uint64) int64 {
+	p := &seedPow[i]
+	u := mulMod(uint64(p[0]), x)<<40 ^ mulMod(uint64(p[1]), x)<<20 ^ mulMod(uint64(p[2]), x)
+	return int64(u) ^ rngCooked[i] //nolint:gosec // bit pattern
+}
+
+// Seed sets the state exactly as math/rand's rngSource.Seed does.
+func (s *source) Seed(seed int64) {
+	s.tap, s.feed = 0, rngLen-rngTap
+	x := reduceSeed(seed)
 	for i := range s.vec {
-		p := &seedPow[i]
-		u := mulMod(uint64(p[0]), x)<<40 ^ mulMod(uint64(p[1]), x)<<20 ^ mulMod(uint64(p[2]), x)
-		s.vec[i] = int64(u) ^ rngCooked[i] //nolint:gosec // bit pattern
+		s.vec[i] = seedSlot(i, x)
 	}
 }
 
@@ -137,6 +150,60 @@ func (s *source) Uint64() uint64 {
 // Int63 returns the next step's low 63 bits.
 func (s *source) Int63() int64 {
 	return int64(s.Uint64() & rngMask) //nolint:gosec // masked to 63 bits
+}
+
+// deferred is a source that holds no state until it must. Step k of the
+// generator (k = 1, 2, …) adds slot 607−k (the tap) into slot 334−k (the
+// feed) and returns the sum. The first slot a step writes, 333, is read
+// as a tap first by step 274, so each of the first rngTap steps reads
+// only seeded slots: step k is seedSlot(334−k) + seedSlot(607−k), six
+// products and no state. Step 274 seeds a full source, replays the
+// rngTap steps into it and goes on from there. Seed returns to the
+// deferred phase.
+type deferred struct {
+	s *source // nil until step rngTap+1
+	x uint64  // the reduced seed
+	n int     // steps taken while s is nil
+}
+
+// Seed restarts the stream from seed, without state.
+func (d *deferred) Seed(seed int64) {
+	d.s, d.x, d.n = nil, reduceSeed(seed), 0
+}
+
+// Uint64 advances the generator one step.
+func (d *deferred) Uint64() uint64 {
+	if s := d.s; s != nil {
+		return s.Uint64()
+	}
+	return d.step()
+}
+
+// Int63 returns the next step's low 63 bits.
+func (d *deferred) Int63() int64 {
+	if s := d.s; s != nil {
+		return s.Int63()
+	}
+	return int64(d.step() & rngMask) //nolint:gosec // masked to 63 bits
+}
+
+// step takes a step while d has no state: directly from the seed up to
+// step rngTap, and by materializing the source at the step after.
+//
+//go:noinline
+func (d *deferred) step() uint64 {
+	if d.n < rngTap {
+		d.n++
+		k := d.n
+		return uint64(seedSlot(rngLen-rngTap-k, d.x) + seedSlot(rngLen-k, d.x)) //nolint:gosec // bit pattern
+	}
+	s := new(source)
+	s.Seed(int64(d.x)) //nolint:gosec // d.x < 2³¹ reduces to itself
+	for range rngTap {
+		s.Uint64()
+	}
+	d.s = s
+	return s.Uint64()
 }
 
 // ReplicationSeed derives the seed for replication rep of a batch rooted

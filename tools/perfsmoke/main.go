@@ -12,8 +12,9 @@
 //     and ATIM reach, the overhearing lottery's neighbor counts and the
 //     PHY's reach lists under mobility;
 //   - world-setup-100: the same world built and run for 1 ms with traffic
-//     from t=0, for set-up, which is mostly seeding the per-node RNG
-//     streams. One ~2 ms build is too short to time alone, so each run
+//     from t=0, for set-up, which is mostly allocating the nodes'
+//     routers, caches, MACs and hooks (the RNG streams defer their
+//     state). One ~0.4 ms build is too short to time alone, so each run
 //     times a batch of builds;
 //   - shadowing-rcast-40: ablation A9's quick-profile shadowing ×
 //     Gauss–Markov Rcast cell (40 nodes, 900×300 m, 150 s), for the reach
