@@ -127,8 +127,8 @@ func TestRcastLevelSemantics(t *testing.T) {
 func TestLevelMonotonicityProperty(t *testing.T) {
 	policies := []Policy{Rcast{}, Unconditional{}, None{}, SenderID{}, Battery{}, Mobility{}, Combined{}}
 	prop := func(nbrs uint8, energy, churn, fixed float64, heard bool, pick uint8) bool {
-		policies := append(policies, FixedProb{P: fixed})
-		pol := policies[int(pick)%len(policies)]
+		all := append(policies, FixedProb{P: fixed})
+		pol := all[int(pick)%len(all)]
 		lc := ListenContext{
 			Neighbors:           int(nbrs),
 			SenderRecentlyHeard: heard,

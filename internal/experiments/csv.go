@@ -88,16 +88,16 @@ func (s *Suite) WriteFig5CSV(w io.Writer) error {
 // WriteFig9CSV exports the per-node (role number, energy) scatter points
 // behind Fig. 9. One row per (rate, scheme, node).
 func (s *Suite) WriteFig9CSV(w io.Writer) error {
-	keys := s.cornerKeys()
-	if err := s.prefetch(keys...); err != nil {
+	cfgs, aggs, err := s.corners()
+	if err != nil {
 		return err
 	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"rate", "scheme", "node", "role_number", "joules"}); err != nil {
 		return err
 	}
-	for _, k := range keys {
-		r := s.cache[k].Results[0]
+	for i, cfg := range cfgs {
+		r := aggs[i].Results[0]
 		// Sanity footer comment rows are not valid CSV; instead assert
 		// internally that the vectors are aligned.
 		if len(r.RoleNumbers) != len(r.PerNodeJoules) {
@@ -106,8 +106,8 @@ func (s *Suite) WriteFig9CSV(w io.Writer) error {
 		}
 		for node := range r.RoleNumbers {
 			row := []string{
-				strconv.FormatFloat(k.rate, 'f', 1, 64),
-				k.scheme.String(),
+				strconv.FormatFloat(cfg.PacketRate, 'f', 1, 64),
+				cfg.Scheme.String(),
 				strconv.Itoa(node),
 				strconv.FormatFloat(r.RoleNumbers[node], 'f', 0, 64),
 				strconv.FormatFloat(r.PerNodeJoules[node], 'f', 2, 64),
@@ -126,12 +126,12 @@ func (s *Suite) WriteFig9CSV(w io.Writer) error {
 func (s *Suite) SummaryLine() (string, error) {
 	var parts []string
 	for _, sch := range figureSchemes {
-		a, err := s.agg(s.low(sch))
+		aggs, err := s.prefetch(s.low(sch))
 		if err != nil {
 			return "", err
 		}
 		parts = append(parts, fmt.Sprintf("%s %.0fJ/%.1f%%",
-			sch, a.TotalJoules.Mean(), 100*a.PDR.Mean()))
+			sch, aggs[0].TotalJoules.Mean(), 100*aggs[0].PDR.Mean()))
 	}
 	return strings.Join(parts, "  "), nil
 }

@@ -5,9 +5,11 @@
 // A1–A10 are data (see tables.go) rendered by one printer; Figs. 5–9 keep
 // their own code.
 //
-// Runs are cached per (scheme, rate, pause, gossip) so the figure
-// generators share simulations: Figs. 6, 7 and 8 all derive from one rate
-// sweep, and Figs. 5 and 9 reuse its corner points.
+// Every figure point and table row is a config, and runs are cached by
+// the config's canonical key, so each distinct configuration runs once per
+// suite: Figs. 6, 7 and 8 all derive from one rate sweep, Figs. 5 and 9
+// and Table 1 reuse its points, and an ablation row that spells a figure
+// cell (A1's "rcast" policy, A8's "none" faults, …) reads that cell.
 package experiments
 
 import (
@@ -90,21 +92,17 @@ var figureSchemes = []scenario.Scheme{
 	scenario.SchemeRcast,
 }
 
-// runKey identifies a cached simulation batch.
-type runKey struct {
-	scheme scenario.Scheme
-	rate   float64
-	static bool
-	gossip bool
-}
-
-// Suite runs and caches the simulations behind all generators. Simulation
-// runs fan out across a worker pool (scenario.RunBatch); the reports and
-// series a suite produces are byte-identical for every worker count.
+// Suite runs and caches the simulations behind all generators. Every
+// figure point and table row is a config (see cell), and the cache is keyed
+// by scenario.Config.CanonicalKey, the content address rcast-serve also
+// uses: a configuration that several figures and tables print, or that two
+// rows spell differently, runs once per suite. Simulation runs fan out
+// across a worker pool (scenario.RunBatch); the reports and series a suite
+// produces are byte-identical for every worker count.
 type Suite struct {
 	p         Profile
 	out       io.Writer
-	cache     map[runKey]*scenario.Aggregate
+	cache     map[string]*scenario.Aggregate
 	workers   int
 	audit     bool
 	faults    *fault.Plan
@@ -119,7 +117,7 @@ func NewSuite(p Profile, out io.Writer) *Suite {
 	if out == nil {
 		out = io.Discard
 	}
-	return &Suite{p: p, out: out, cache: make(map[runKey]*scenario.Aggregate)}
+	return &Suite{p: p, out: out, cache: make(map[string]*scenario.Aggregate)}
 }
 
 // SetWorkers bounds the concurrency of the suite's simulation runs:
@@ -136,22 +134,20 @@ func (s *Suite) SetAudit(on bool) { s.audit = on }
 // SetFaults installs a fault plan (see internal/fault) applied to every
 // simulation the suite builds — figures and ablations alike, except the
 // fault ablation itself, whose cells carry their own per-variant plans.
-// Cached aggregates from a previous plan would be stale, so the cache is
-// cleared; call SetFaults before running any generator.
-func (s *Suite) SetFaults(plan *fault.Plan) {
-	s.faults = plan
-	s.cache = make(map[runKey]*scenario.Aggregate)
-}
+// The plan is part of every config's cache key, so runs cached under an
+// earlier plan are never read for a later one.
+func (s *Suite) SetFaults(plan *fault.Plan) { s.faults = plan }
 
 // SetTrace installs a packet-lifecycle trace sink (scenario.Config.Trace)
 // on every simulation the suite runs. A non-nil sink forces the runner
 // serial (sinks are not safe for concurrent emission), so expect the
-// suite to slow accordingly. Cached aggregates were produced without the
-// sink's events, so the cache is cleared; call SetTrace before running
-// any generator.
+// suite to slow accordingly. Each distinct config emits its events once,
+// when it first runs. The sink is not part of the cache key, and cached
+// aggregates were produced without its events, so the cache is cleared;
+// call SetTrace before running any generator.
 func (s *Suite) SetTrace(sink trace.Sink) {
 	s.traceSink = sink
-	s.cache = make(map[runKey]*scenario.Aggregate)
+	s.cache = make(map[string]*scenario.Aggregate)
 }
 
 // SetContext installs a cancellation context for every simulation the
@@ -160,13 +156,9 @@ func (s *Suite) SetTrace(sink trace.Sink) {
 // generator return its error.
 func (s *Suite) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// Runs returns how many distinct runKey batches are cached: the figures'
-// batches and those the cache-reading tables (Table 1, A2, A3) share with
-// them. Table rows with a config edit run fresh and are not counted.
-func (s *Suite) Runs() int { return len(s.cache) }
-
-// SimRuns returns how many individual simulations have completed (each
-// replication of each batch counts once, table rows included).
+// SimRuns returns how many individual simulations have completed: each
+// replication of each distinct config counts once, however many figures
+// and tables read it.
 func (s *Suite) SimRuns() int64 { return s.simRuns.Load() }
 
 func (s *Suite) context() context.Context {
@@ -176,76 +168,76 @@ func (s *Suite) context() context.Context {
 	return context.Background()
 }
 
-func (s *Suite) config(k runKey) scenario.Config {
+// cell returns the profile's base config for one scheme at one packet
+// rate, static (pause = Duration) or mobile, under the suite's audit and
+// fault settings, with each edit applied in order. Every figure point and
+// table row is one.
+func (s *Suite) cell(sch scenario.Scheme, rate float64, static bool, edits ...func(*scenario.Config)) scenario.Config {
 	cfg := scenario.PaperDefaults()
-	cfg.Scheme = k.scheme
+	cfg.Scheme = sch
 	cfg.Nodes = s.p.Nodes
 	cfg.FieldW = s.p.FieldW
 	cfg.FieldH = s.p.FieldH
 	cfg.Connections = s.p.Connections
 	cfg.Duration = s.p.Duration
-	cfg.PacketRate = k.rate
+	cfg.PacketRate = rate
 	cfg.Seed = s.p.BaseSeed
-	if k.static {
+	if static {
 		cfg.Pause = s.p.Duration
 	} else {
 		cfg.Pause = s.p.PauseMobile
 	}
-	if k.gossip {
-		cfg.GossipFanout = 3
-	}
 	cfg.Audit = s.audit
 	cfg.Faults = s.faults
-	cfg.Trace = s.traceSink
+	for _, edit := range edits {
+		edit(&cfg)
+	}
 	return cfg
 }
 
-// agg returns the cached aggregate for a key, running it on first use.
-func (s *Suite) agg(k runKey) (*scenario.Aggregate, error) {
-	if a, ok := s.cache[k]; ok {
-		return a, nil
-	}
-	if err := s.prefetch(k); err != nil {
-		return nil, fmt.Errorf("experiments: %v rate=%.1f static=%v: %w",
-			k.scheme, k.rate, k.static, err)
-	}
-	return s.cache[k], nil
+// low is a scheme's cell at the low-rate mobile point most tables use.
+func (s *Suite) low(sch scenario.Scheme, edits ...func(*scenario.Config)) scenario.Config {
+	return s.cell(sch, s.p.LowRate, false, edits...)
 }
 
-// prefetch simulates every not-yet-cached key of the batch across the
-// worker pool, so one figure's independent cells run concurrently instead
-// of one by one. Generators call it with their full key set before reading
-// any aggregate; printing then happens from the cache in deterministic
-// order, keeping output byte-identical for every worker count.
-func (s *Suite) prefetch(keys ...runKey) error {
-	var missing []runKey
-	var cfgs []scenario.Config
-	for _, k := range keys {
-		if _, ok := s.cache[k]; ok || slices.Contains(missing, k) {
+// prefetch returns every config's aggregate, in input order. Configs whose
+// key is neither cached nor already pending in this call run as one batch
+// across the worker pool, so a generator's independent cells run
+// concurrently; the rest are read from the cache. Generators call it with
+// every cell they print before printing anything, keeping output
+// byte-identical for every worker count.
+func (s *Suite) prefetch(cfgs ...scenario.Config) ([]*scenario.Aggregate, error) {
+	keys := make([]string, len(cfgs))
+	var pending []string
+	var batch []scenario.Config
+	for i, cfg := range cfgs {
+		k, err := cfg.CanonicalKey(s.p.Reps)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = k
+		if _, ok := s.cache[k]; ok || slices.Contains(pending, k) {
 			continue
 		}
-		missing = append(missing, k)
-		cfgs = append(cfgs, s.config(k))
+		// The sink goes on the copy that runs only: CanonicalKey refuses a
+		// config that carries one.
+		cfg.Trace = s.traceSink
+		pending = append(pending, k)
+		batch = append(batch, cfg)
 	}
-	aggs, err := s.run(cfgs)
-	if err != nil {
-		return err
-	}
-	for i, k := range missing {
-		s.cache[k] = aggs[i]
-	}
-	return nil
-}
-
-// run executes one replication batch per config on the suite's pool and
-// returns the aggregates in input order.
-func (s *Suite) run(cfgs []scenario.Config) ([]*scenario.Aggregate, error) {
-	aggs, err := scenario.RunBatch(s.context(), s.workers, s.p.Reps, cfgs...)
+	aggs, err := scenario.RunBatch(s.context(), s.workers, s.p.Reps, batch...)
 	if err != nil {
 		return nil, err
 	}
-	s.simRuns.Add(int64(len(cfgs) * max(s.p.Reps, 1)))
-	return aggs, nil
+	s.simRuns.Add(int64(len(batch) * max(s.p.Reps, 1)))
+	for i, k := range pending {
+		s.cache[k] = aggs[i]
+	}
+	out := make([]*scenario.Aggregate, len(keys))
+	for i, k := range keys {
+		out[i] = s.cache[k]
+	}
+	return out, nil
 }
 
 func (s *Suite) printf(format string, args ...any) {
@@ -257,20 +249,6 @@ func pauseLabel(static bool) string {
 		return "Tpause=static"
 	}
 	return "Tpause=mobile"
-}
-
-// sweepKeys returns every cell of the Figs. 6–8 rate sweep (which also
-// covers Table 1, Fig. 5 and Fig. 9, whose corner rates are in the sweep).
-func (s *Suite) sweepKeys() []runKey {
-	var keys []runKey
-	for _, static := range []bool{false, true} {
-		for _, rate := range s.p.Rates {
-			for _, sch := range figureSchemes {
-				keys = append(keys, runKey{scheme: sch, rate: rate, static: static})
-			}
-		}
-	}
-	return keys
 }
 
 // generators lists every table and figure in report order. The names are
@@ -338,15 +316,18 @@ func (s *Suite) Table(name string) (*Table, error) {
 
 // All regenerates every table and figure in order.
 func (s *Suite) All() error {
-	// Fan out every cacheable cell of every figure at once, so the worker
-	// pool sees the whole suite's parallelism instead of one figure's.
-	keys := s.sweepKeys()
-	keys = append(keys,
-		runKey{scheme: scenario.SchemePSMNoOverhear, rate: s.p.LowRate},
-		runKey{scheme: scenario.SchemePSM, rate: s.p.LowRate},
-		runKey{scheme: scenario.SchemeRcast, rate: s.p.HighRate, gossip: true},
-	)
-	if err := s.prefetch(keys...); err != nil {
+	// Fan out every cell of every figure and table at once, so the worker
+	// pool sees the whole suite's parallelism instead of one generator's.
+	// The sweep covers every figure's cells.
+	_, cfgs := s.sweepCells()
+	for _, g := range generators {
+		if g.table != nil {
+			for _, r := range g.table(s).rows {
+				cfgs = append(cfgs, r.cfg)
+			}
+		}
+	}
+	if _, err := s.prefetch(cfgs...); err != nil {
 		return err
 	}
 	for _, g := range generators {

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -98,15 +101,86 @@ func TestSweepFiguresShareRuns(t *testing.T) {
 	if _, err := s.Fig6(); err != nil {
 		t.Fatal(err)
 	}
-	after6 := s.Runs()
+	after6 := s.SimRuns()
 	if _, err := s.Fig7(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Fig8(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Runs() != after6 {
-		t.Fatalf("Figs 7/8 re-ran simulations: %d -> %d", after6, s.Runs())
+	if s.SimRuns() != after6 {
+		t.Fatalf("Figs 7/8 re-ran simulations: %d -> %d", after6, s.SimRuns())
+	}
+}
+
+// TestSuiteRunsEachConfigOnce checks the suite's content-addressed cache:
+// after All, every figure and table cell is cached under its CanonicalKey,
+// each distinct key ran once, and each table row reads the results a fresh
+// batch of its own config produces.
+func TestSuiteRunsEachConfigOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	p := tiny()
+	s := NewSuite(p, nil)
+	if err := s.All(); err != nil {
+		t.Fatal(err)
+	}
+	_, cfgs := s.sweepCells()
+	var names []string
+	var rowCfgs []scenario.Config
+	var rowAggs []*scenario.Aggregate
+	for _, g := range generators {
+		if g.table == nil {
+			continue
+		}
+		tab, err := s.Table(g.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range g.table(s).rows {
+			names = append(names, fmt.Sprintf("%s %v", g.name, r.labels))
+			rowCfgs = append(rowCfgs, r.cfg)
+			rowAggs = append(rowAggs, tab.Rows[i].Agg)
+		}
+	}
+	distinct := make(map[string]bool)
+	for _, cfg := range append(cfgs, rowCfgs...) {
+		k, err := cfg.CanonicalKey(p.Reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cache[k] == nil {
+			t.Fatalf("%v rate=%.1f not cached under its CanonicalKey", cfg.Scheme, cfg.PacketRate)
+		}
+		distinct[k] = true
+	}
+	if len(distinct) == len(cfgs)+len(rowCfgs) {
+		t.Fatal("no table row repeats a figure cell, so nothing was deduplicated")
+	}
+	if len(s.cache) != len(distinct) {
+		t.Fatalf("cache holds %d batches, the suite prints %d distinct configs", len(s.cache), len(distinct))
+	}
+	if want := int64(len(distinct) * p.Reps); s.SimRuns() != want {
+		t.Fatalf("SimRuns = %d, want %d distinct configs x %d reps", s.SimRuns(), len(distinct), p.Reps)
+	}
+
+	fresh, err := scenario.RunBatch(context.Background(), 0, p.Reps, rowCfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		got, err := json.Marshal(rowAggs[i].Results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fresh[i].Results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: cached results differ from a fresh run of the row's config", name)
+		}
 	}
 }
 
@@ -132,13 +206,19 @@ func TestFig7EnergyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := make(map[runKey]SweepPoint)
+	type mobileCell struct {
+		scheme scenario.Scheme
+		rate   float64
+	}
+	mobile := make(map[mobileCell]SweepPoint)
 	for _, p := range points {
-		byKey[runKey{scheme: p.Scheme, rate: p.Rate, static: p.Static}] = p
+		if !p.Static {
+			mobile[mobileCell{p.Scheme, p.Rate}] = p
+		}
 	}
 	for _, rate := range tiny().Rates {
-		ao := byKey[runKey{scheme: scenario.SchemeAlwaysOn, rate: rate}]
-		rc := byKey[runKey{scheme: scenario.SchemeRcast, rate: rate}]
+		ao := mobile[mobileCell{scenario.SchemeAlwaysOn, rate}]
+		rc := mobile[mobileCell{scenario.SchemeRcast, rate}]
 		if rc.TotalJoules >= ao.TotalJoules {
 			t.Fatalf("rate %.1f: Rcast energy %.0f not below 802.11 %.0f",
 				rate, rc.TotalJoules, ao.TotalJoules)
@@ -328,27 +408,25 @@ func TestTableUnknownName(t *testing.T) {
 
 func TestSetFaultsAppliesToSuiteRuns(t *testing.T) {
 	s := NewSuite(tiny(), nil)
-	k := runKey{scheme: scenario.SchemeRcast, rate: tiny().LowRate}
-	clean, err := s.agg(k)
+	clean, err := s.prefetch(s.low(scenario.SchemeRcast))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Results[0].NodeCrashes != 0 {
+	if clean[0].Results[0].NodeCrashes != 0 {
 		t.Fatal("unfaulted suite run recorded crashes")
 	}
 	plan, err := fault.Preset("crash")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The plan is part of the cache key, so the faulted cell runs afresh
+	// instead of reading the clean one.
 	s.SetFaults(plan)
-	if s.Runs() != 0 {
-		t.Fatal("SetFaults did not clear the run cache")
-	}
-	faulted, err := s.agg(k)
+	faulted, err := s.prefetch(s.low(scenario.SchemeRcast))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulted.Results[0].NodeCrashes == 0 {
+	if faulted[0].Results[0].NodeCrashes == 0 {
 		t.Fatal("SetFaults plan did not reach the suite's simulations")
 	}
 }

@@ -33,43 +33,37 @@ type Fig5Panel struct {
 // Fig5 reproduces "Energy consumption comparison at each node": four
 // panels (low/high rate × mobile/static), nodes sorted by consumption.
 func (s *Suite) Fig5() ([]Fig5Panel, error) {
-	var keys []runKey
-	for _, static := range []bool{false, true} {
-		for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
-			for _, sch := range figureSchemes {
-				keys = append(keys, runKey{scheme: sch, rate: rate, static: static})
-			}
-		}
-	}
-	if err := s.prefetch(keys...); err != nil {
-		return nil, err
-	}
 	var panels []Fig5Panel
+	var cfgs []scenario.Config
 	for _, static := range []bool{false, true} {
 		for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
-			panel := Fig5Panel{
+			panels = append(panels, Fig5Panel{
 				Rate:   rate,
 				Static: static,
 				Curves: make(map[scenario.Scheme][]float64),
-			}
-			s.printf("== Fig 5: per-node energy, ascending (Rpkt=%.1f, %s) ==\n",
-				rate, pauseLabel(static))
-			s.printf("%-8s %8s %8s %8s %8s %8s\n", "scheme", "min", "p25", "p50", "p75", "max")
+			})
 			for _, sch := range figureSchemes {
-				a, err := s.agg(runKey{scheme: sch, rate: rate, static: static})
-				if err != nil {
-					return nil, err
-				}
-				curve := a.MeanSortedJoules
-				panel.Curves[sch] = curve
-				s.printf("%-8s %8.1f %8.1f %8.1f %8.1f %8.1f\n", sch,
-					stats.Percentile(curve, 0), stats.Percentile(curve, 25),
-					stats.Percentile(curve, 50), stats.Percentile(curve, 75),
-					stats.Percentile(curve, 100))
+				cfgs = append(cfgs, s.cell(sch, rate, static))
 			}
-			panels = append(panels, panel)
-			s.printf("\n")
 		}
+	}
+	aggs, err := s.prefetch(cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, panel := range panels {
+		s.printf("== Fig 5: per-node energy, ascending (Rpkt=%.1f, %s) ==\n",
+			panel.Rate, pauseLabel(panel.Static))
+		s.printf("%-8s %8s %8s %8s %8s %8s\n", "scheme", "min", "p25", "p50", "p75", "max")
+		for j, sch := range figureSchemes {
+			curve := aggs[i*len(figureSchemes)+j].MeanSortedJoules
+			panel.Curves[sch] = curve
+			s.printf("%-8s %8.1f %8.1f %8.1f %8.1f %8.1f\n", sch,
+				stats.Percentile(curve, 0), stats.Percentile(curve, 25),
+				stats.Percentile(curve, 50), stats.Percentile(curve, 75),
+				stats.Percentile(curve, 100))
+		}
+		s.printf("\n")
 	}
 	return panels, nil
 }
@@ -87,35 +81,42 @@ type SweepPoint struct {
 	NormalizedOverhead float64
 }
 
-// sweep runs (or reuses) the full rate sweep for both pause settings. All
-// missing cells simulate concurrently across the worker pool.
-func (s *Suite) sweep() ([]SweepPoint, error) {
-	if err := s.prefetch(s.sweepKeys()...); err != nil {
-		return nil, err
-	}
-	var out []SweepPoint
+// sweepCells returns every point of the Figs. 6–8 rate sweep in print
+// order (pause, then rate, then scheme) with its config. The sweep covers
+// the cells of Table 1, Fig. 5 and Fig. 9 too: their corner rates are in
+// it.
+func (s *Suite) sweepCells() ([]SweepPoint, []scenario.Config) {
+	var points []SweepPoint
+	var cfgs []scenario.Config
 	for _, static := range []bool{false, true} {
 		for _, rate := range s.p.Rates {
 			for _, sch := range figureSchemes {
-				a, err := s.agg(runKey{scheme: sch, rate: rate, static: static})
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, SweepPoint{
-					Scheme:             sch,
-					Rate:               rate,
-					Static:             static,
-					TotalJoules:        a.TotalJoules.Mean(),
-					EnergyVariance:     a.EnergyVariance.Mean(),
-					PDR:                a.PDR.Mean(),
-					EnergyPerBit:       a.EnergyPerBit.Mean(),
-					AvgDelaySec:        a.AvgDelaySec.Mean(),
-					NormalizedOverhead: a.NormalizedOverhead.Mean(),
-				})
+				points = append(points, SweepPoint{Scheme: sch, Rate: rate, Static: static})
+				cfgs = append(cfgs, s.cell(sch, rate, static))
 			}
 		}
 	}
-	return out, nil
+	return points, cfgs
+}
+
+// sweep runs (or reuses) the full rate sweep for both pause settings. All
+// missing cells simulate concurrently across the worker pool.
+func (s *Suite) sweep() ([]SweepPoint, error) {
+	points, cfgs := s.sweepCells()
+	aggs, err := s.prefetch(cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range aggs {
+		p := &points[i]
+		p.TotalJoules = a.TotalJoules.Mean()
+		p.EnergyVariance = a.EnergyVariance.Mean()
+		p.PDR = a.PDR.Mean()
+		p.EnergyPerBit = a.EnergyPerBit.Mean()
+		p.AvgDelaySec = a.AvgDelaySec.Mean()
+		p.NormalizedOverhead = a.NormalizedOverhead.Mean()
+	}
+	return points, nil
 }
 
 // sweepMetric is one panel series of Figs. 6–8: its name, the fmt verb of
@@ -204,33 +205,35 @@ type Fig9Panel struct {
 	Correlation float64 // Pearson correlation of (role, energy) over nodes
 }
 
-// cornerKeys are the mobile cells of every figure scheme at the low and
-// then the high corner rate: the cells behind Fig. 9 and its CSV.
-func (s *Suite) cornerKeys() []runKey {
-	var keys []runKey
+// corners returns the mobile cells of every figure scheme at the low and
+// then the high corner rate, the cells behind Fig. 9 and its CSV, with
+// their aggregates.
+func (s *Suite) corners() ([]scenario.Config, []*scenario.Aggregate, error) {
+	var cfgs []scenario.Config
 	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
 		for _, sch := range figureSchemes {
-			keys = append(keys, runKey{scheme: sch, rate: rate})
+			cfgs = append(cfgs, s.cell(sch, rate, false))
 		}
 	}
-	return keys
+	aggs, err := s.prefetch(cfgs...)
+	return cfgs, aggs, err
 }
 
 // Fig9 reproduces "comparison of role number and energy consumption".
 func (s *Suite) Fig9() ([]Fig9Panel, error) {
-	keys := s.cornerKeys()
-	if err := s.prefetch(keys...); err != nil {
+	cfgs, aggs, err := s.corners()
+	if err != nil {
 		return nil, err
 	}
 	var panels []Fig9Panel
 	s.printf("== Fig 9: role number vs per-node energy (mobile) ==\n")
 	s.printf("%-8s %-6s %9s %9s %9s %9s %9s %6s\n",
 		"scheme", "rate", "roleMax", "roleMean", "roleP90", "energyMax", "energyAvg", "corr")
-	for _, k := range keys {
-		r := s.cache[k].Results[0]
+	for i, cfg := range cfgs {
+		r := aggs[i].Results[0]
 		p := Fig9Panel{
-			Scheme:      k.scheme,
-			Rate:        k.rate,
+			Scheme:      cfg.Scheme,
+			Rate:        cfg.PacketRate,
 			RoleMax:     stats.Max(r.RoleNumbers),
 			RoleMean:    stats.Mean(r.RoleNumbers),
 			RoleP90:     stats.Percentile(r.RoleNumbers, 90),
@@ -240,7 +243,7 @@ func (s *Suite) Fig9() ([]Fig9Panel, error) {
 		}
 		panels = append(panels, p)
 		s.printf("%-8s %-6.1f %9.0f %9.1f %9.1f %9.1f %9.1f %6.2f\n",
-			k.scheme, k.rate, p.RoleMax, p.RoleMean, p.RoleP90, p.EnergyMax, p.EnergyMean, p.Correlation)
+			p.Scheme, p.Rate, p.RoleMax, p.RoleMean, p.RoleP90, p.EnergyMax, p.EnergyMean, p.Correlation)
 	}
 	s.printf("\n")
 	return panels, nil

@@ -75,18 +75,22 @@ func TestRunnerMatchesSerialReplications(t *testing.T) {
 	p.Reps = 2
 	s := NewSuite(p, nil)
 	s.SetWorkers(4)
-	cfg := s.config(runKey{scheme: scenario.SchemeRcast, rate: p.LowRate})
-	cfg.Seed = 7
+	cfg := s.low(scenario.SchemeRcast, func(c *scenario.Config) { c.Seed = 7 })
 
 	want, err := scenario.RunReplications(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs, err := s.run([]scenario.Config{cfg})
+	aggs, err := s.prefetch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := aggs[0]
+	// The batch is cached under its content address, replication count
+	// included.
+	if k, _ := cfg.CanonicalKey(2); s.cache[k] != got {
+		t.Fatal("batch not cached under cfg.CanonicalKey(reps)")
+	}
 	if len(got.Results) != len(want.Results) {
 		t.Fatalf("got %d results, want %d", len(got.Results), len(want.Results))
 	}
@@ -114,11 +118,12 @@ func TestRunnerMatchesSerialReplications(t *testing.T) {
 func TestRunnerPropagatesError(t *testing.T) {
 	s := NewSuite(tiny(), nil)
 	s.SetWorkers(4)
-	good := s.config(runKey{scheme: scenario.SchemeRcast, rate: tiny().LowRate})
-	good.Duration /= 4
+	good := s.low(scenario.SchemeRcast, func(c *scenario.Config) { c.Duration /= 4 })
 	bad := good
 	bad.Nodes = 1 // rejected by config validation
-	if _, err := s.run([]scenario.Config{good, bad, good}); err == nil {
+	other := good
+	other.Seed++
+	if _, err := s.prefetch(good, bad, other); err == nil {
 		t.Fatal("invalid cell did not error")
 	}
 }
@@ -152,6 +157,35 @@ func TestTraceForcesSerial(t *testing.T) {
 	}
 	if len(tab.Rows) != 2 || len(tab.Rows[0].Agg.Results) != 1 {
 		t.Fatalf("unexpected shape: %d rows", len(tab.Rows))
+	}
+}
+
+// TestTraceEmitsEachConfigOnce checks that a traced suite emits the
+// events of each distinct config once: a config that several figures and
+// tables print is traced when it first runs, not again when it is read.
+func TestTraceEmitsEachConfigOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	var runs runCounter
+	s := NewSuite(tiny(), nil)
+	s.SetTrace(&runs)
+	if err := s.All(); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(s.cache) * tiny().Reps; int(runs) != want || s.SimRuns() != int64(want) {
+		t.Fatalf("traced %d runs (SimRuns %d), want %d distinct configs x %d reps",
+			runs, s.SimRuns(), len(s.cache), tiny().Reps)
+	}
+}
+
+// runCounter counts the runs in a trace stream: each run numbers its
+// events from Seq 1.
+type runCounter int
+
+func (c *runCounter) Emit(e trace.Event) {
+	if e.Seq == 1 {
+		*c++
 	}
 }
 

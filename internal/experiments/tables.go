@@ -20,13 +20,11 @@ type table struct {
 	footer func(rows []Row) string
 }
 
-// row names the batch behind one printed line: its runKey plus an
-// optional config edit. A row without an edit reads the runKey cache the
-// figures share; a row with one runs fresh.
+// row is one printed line: its labels and the config behind it, a cell
+// of the profile (see Suite.cell).
 type row struct {
 	labels []string
-	key    runKey
-	edit   func(*scenario.Config)
+	cfg    scenario.Config
 }
 
 // column is one printed column: its header text, the fmt verbs that
@@ -64,34 +62,20 @@ func (t *Table) Value(i int, col string) float64 {
 	panic(fmt.Sprintf("experiments: table has no column %q", col))
 }
 
-// render runs the table's rows — cache rows first, then every edited row
-// as one batch, both in row order — and prints the table.
+// render runs (or reads from the cache) the table's rows and prints the
+// table.
 func (s *Suite) render(t table) (*Table, error) {
-	var keys []runKey
-	var cfgs []scenario.Config
-	for _, r := range t.rows {
-		if r.edit == nil {
-			keys = append(keys, r.key)
-			continue
-		}
-		cfg := s.config(r.key)
-		r.edit(&cfg)
-		cfgs = append(cfgs, cfg)
+	cfgs := make([]scenario.Config, len(t.rows))
+	for i, r := range t.rows {
+		cfgs[i] = r.cfg
 	}
-	if err := s.prefetch(keys...); err != nil {
-		return nil, err
-	}
-	fresh, err := s.run(cfgs)
+	aggs, err := s.prefetch(cfgs...)
 	if err != nil {
 		return nil, err
 	}
 	out := &Table{cols: t.cols}
-	for _, r := range t.rows {
-		a := s.cache[r.key]
-		if r.edit != nil {
-			a, fresh = fresh[0], fresh[1:]
-		}
-		out.Rows = append(out.Rows, Row{Labels: r.labels, Agg: a})
+	for i, r := range t.rows {
+		out.Rows = append(out.Rows, Row{Labels: r.labels, Agg: aggs[i]})
 	}
 	fmt.Fprintln(s.out, t.title)
 	s.line(t.cols, func(c column) string { return fmt.Sprintf(c.head, c.name) })
@@ -142,11 +126,6 @@ func label(k int) cellValue {
 	return func(rows []Row, i int) any { return rows[i].Labels[k] }
 }
 
-// low is a scheme's runKey at the low-rate mobile point most tables use.
-func (s *Suite) low(sch scenario.Scheme) runKey {
-	return runKey{scheme: sch, rate: s.p.LowRate}
-}
-
 // table1 reproduces the paper's protocol-behaviour comparison (Table 1),
 // validated quantitatively at the mobile low-rate operating point.
 func (s *Suite) table1() table {
@@ -167,7 +146,7 @@ func (s *Suite) table1() table {
 		},
 	}
 	for i, sch := range figureSchemes {
-		t.rows = append(t.rows, row{labels: []string{sch.String(), behaviors[i]}, key: s.low(sch)})
+		t.rows = append(t.rows, row{labels: []string{sch.String(), behaviors[i]}, cfg: s.low(sch)})
 	}
 	return t
 }
@@ -188,8 +167,8 @@ func (s *Suite) a1() table {
 		},
 	}
 	for _, p := range []string{"rcast", "sender-id", "battery", "mobility", "combined"} {
-		t.rows = append(t.rows, row{labels: []string{p}, key: s.low(scenario.SchemeRcast),
-			edit: func(c *scenario.Config) { c.PolicyName = p }})
+		t.rows = append(t.rows, row{labels: []string{p},
+			cfg: s.low(scenario.SchemeRcast, func(c *scenario.Config) { c.PolicyName = p })})
 	}
 	return t
 }
@@ -210,7 +189,7 @@ func (s *Suite) a2() table {
 		},
 	}
 	for _, sch := range []scenario.Scheme{scenario.SchemePSMNoOverhear, scenario.SchemePSM, scenario.SchemeRcast} {
-		t.rows = append(t.rows, row{labels: []string{sch.String()}, key: s.low(sch)})
+		t.rows = append(t.rows, row{labels: []string{sch.String()}, cfg: s.low(sch)})
 	}
 	return t
 }
@@ -219,12 +198,11 @@ func (s *Suite) a2() table {
 // broadcasts (probabilistic rebroadcast damping) on the Rcast stack at
 // the high-rate mobile point, where discoveries are most frequent.
 func (s *Suite) a3() table {
-	key := runKey{scheme: scenario.SchemeRcast, rate: s.p.HighRate}
-	gossip := key
-	gossip.gossip = true
+	plain := s.cell(scenario.SchemeRcast, s.p.HighRate, false)
+	gossip := s.cell(scenario.SchemeRcast, s.p.HighRate, false, func(c *scenario.Config) { c.GossipFanout = 3 })
 	return table{
 		title: fmt.Sprintf("== Ablation A3: broadcast Rcast (RREQ rebroadcast damping, rate=%.1f, mobile) ==", s.p.HighRate),
-		rows:  []row{{labels: []string{"false"}, key: key}, {labels: []string{"true"}, key: gossip}},
+		rows:  []row{{labels: []string{"false"}, cfg: plain}, {labels: []string{"true"}, cfg: gossip}},
 		cols: []column{
 			{"gossip", "%-8s", "%-8s", label(0)},
 			{"PDR", "%8s", "%8.3f", pdr},
@@ -261,8 +239,8 @@ func (s *Suite) a4() table {
 		{"timeout 30s", 64, 30 * sim.Second},
 		{"timeout 5s", 64, 5 * sim.Second},
 	} {
-		t.rows = append(t.rows, row{labels: []string{v.label}, key: s.low(scenario.SchemeRcast),
-			edit: func(c *scenario.Config) { c.DSR.CacheCapacity, c.DSR.CacheLifetime = v.capacity, v.lifetime }})
+		t.rows = append(t.rows, row{labels: []string{v.label}, cfg: s.low(scenario.SchemeRcast,
+			func(c *scenario.Config) { c.DSR.CacheCapacity, c.DSR.CacheLifetime = v.capacity, v.lifetime })})
 	}
 	return t
 }
@@ -286,8 +264,8 @@ func (s *Suite) a5() table {
 		},
 	}
 	for _, sch := range figureSchemes {
-		t.rows = append(t.rows, row{labels: []string{sch.String()}, key: s.low(sch),
-			edit: func(c *scenario.Config) { c.BatteryJoules = battery }})
+		t.rows = append(t.rows, row{labels: []string{sch.String()},
+			cfg: s.low(sch, func(c *scenario.Config) { c.BatteryJoules = battery })})
 	}
 	return t
 }
@@ -330,13 +308,13 @@ func (s *Suite) a6() table {
 		{"AODV (hello 1s)", scenario.RoutingAODV, true},
 	} {
 		for _, sch := range []scenario.Scheme{scenario.SchemeAlwaysOn, scenario.SchemeRcast} {
-			t.rows = append(t.rows, row{labels: []string{v.label, sch.String()}, key: s.low(sch),
-				edit: func(c *scenario.Config) {
+			t.rows = append(t.rows, row{labels: []string{v.label, sch.String()},
+				cfg: s.low(sch, func(c *scenario.Config) {
 					c.Routing = v.routing
 					if v.routing == scenario.RoutingAODV && !v.hello {
 						c.AODV.HelloInterval = 0
 					}
-				}})
+				})})
 		}
 	}
 	return t
@@ -369,8 +347,8 @@ func (s *Suite) a7() table {
 				name = "contention"
 			}
 			t.rows = append(t.rows, row{labels: []string{name, fmt.Sprintf("%.1f", rate)},
-				key:  runKey{scheme: scenario.SchemeRcast, rate: rate},
-				edit: func(c *scenario.Config) { c.MAC.ATIMContention = contention }})
+				cfg: s.cell(scenario.SchemeRcast, rate, false,
+					func(c *scenario.Config) { c.MAC.ATIMContention = contention })})
 		}
 	}
 	return t
@@ -409,8 +387,8 @@ func (s *Suite) a8() table {
 		for _, sch := range []scenario.Scheme{
 			scenario.SchemeAlwaysOn, scenario.SchemePSM, scenario.SchemeODPM, scenario.SchemeRcast,
 		} {
-			t.rows = append(t.rows, row{labels: []string{v.label, sch.String()}, key: s.low(sch),
-				edit: func(c *scenario.Config) { c.Faults = v.plan }})
+			t.rows = append(t.rows, row{labels: []string{v.label, sch.String()},
+				cfg: s.low(sch, func(c *scenario.Config) { c.Faults = v.plan })})
 		}
 	}
 	return t
@@ -465,8 +443,8 @@ func (s *Suite) a9() table {
 	for _, ch := range scenario.ChannelNames() {
 		for _, mob := range scenario.MobilityNames() {
 			for _, sch := range []scenario.Scheme{scenario.SchemePSM, scenario.SchemeRcast} {
-				t.rows = append(t.rows, row{labels: []string{ch, mob, sch.String()}, key: s.low(sch),
-					edit: func(c *scenario.Config) { c.Channel, c.Mobility = ch, mob }})
+				t.rows = append(t.rows, row{labels: []string{ch, mob, sch.String()},
+					cfg: s.low(sch, func(c *scenario.Config) { c.Channel, c.Mobility = ch, mob })})
 			}
 		}
 	}
@@ -529,8 +507,8 @@ func (s *Suite) a10() table {
 	}
 	for _, db := range dBs {
 		for _, v := range variants {
-			t.rows = append(t.rows, row{labels: []string{fmt.Sprintf("%+.1fdB", db), v.name}, key: s.low(v.scheme),
-				edit: func(c *scenario.Config) { c.TxPowerDBm, c.GossipFanout = db, v.gossip }})
+			t.rows = append(t.rows, row{labels: []string{fmt.Sprintf("%+.1fdB", db), v.name},
+				cfg: s.low(v.scheme, func(c *scenario.Config) { c.TxPowerDBm, c.GossipFanout = db, v.gossip })})
 		}
 	}
 	return t

@@ -11,7 +11,8 @@
 # preset / seeds diverge), the golden-trace
 # corpus gate (every committed cell re-runs and replays byte-identically),
 # record/replay round-trips through the rcast-sim CLI (plain, fading +
-# Gauss–Markov, policy + battery + TX power, AODV + all faults), an
+# Gauss–Markov, policy + battery + TX power, AODV + all faults), the quick
+# experiment suite's stdout byte-compared at one and two workers, an
 # invariant-audited experiment smoke (Table 1 and A8–A10) under the race
 # detector, and the end-to-end rcast-serve smoke (race-built daemons:
 # submit/poll/parity/cache/429/drain/early SIGTERM, then a coordinator
@@ -129,6 +130,16 @@ for flags in \
   cmp "$tmpdir/rec$i.out" "$tmpdir/rep$i.out"
   cmp "$tmpdir/rec$i.ndjson" "$tmpdir/rep$i.ndjson"
 done
+
+echo "== quick suite worker parity =="
+# The whole quick suite at one and at two workers must print the same
+# bytes: the run cache is keyed by CanonicalKey and filled from a pooled
+# batch, so a cache read that depended on the pool's completion order
+# would show here, not only in the tiny-profile golden.
+go build -o "$tmpdir/rcast-bench" ./cmd/rcast-bench
+"$tmpdir/rcast-bench" -profile quick -workers 1 > "$tmpdir/quick1.out"
+"$tmpdir/rcast-bench" -profile quick -workers 2 > "$tmpdir/quick2.out"
+cmp "$tmpdir/quick1.out" "$tmpdir/quick2.out"
 
 echo "== audited experiment smoke (race) =="
 # Table 1 plus the fault, channel and tx-power sweeps (A8–A10), every run
